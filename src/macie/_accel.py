@@ -1,15 +1,16 @@
-"""Optional numba acceleration for hot simulation kernels.
+"""Optional numba acceleration for the regression-tree kernels.
 
-Every hot kernel in this package is written once, as a plain Python function
-over NumPy arrays and scalars, and registered through :func:`kernel`.  When
+The tree kernels in ``trees`` are written once, as plain Python functions
+over NumPy arrays and scalars, and registered through :func:`kernel`. When
 acceleration is enabled the registered function is compiled with
 ``numba.njit`` on first use; otherwise the original Python function runs.
 Both paths execute the same statements in the same order, so results are
-bit-identical, only speed differs.
+bit-identical, only speed differs. The simulators do not go through here:
+their rollouts are batched numpy (see ``envs.kernels``).
 
 Acceleration defaults to on when numba is importable.  Set ``MACIE_NUMBA=0``
 in the environment to force the pure-Python path, or call
-:func:`set_enabled` to flip at runtime (used by ``macie bench``).
+:func:`set_enabled` to flip at runtime.
 """
 
 from __future__ import annotations

@@ -37,31 +37,29 @@ class CoalitionValues:
         key = tuple(sorted(set(members)))
         if key not in self._cache:
             self._cache[key] = np.array(
-                [
-                    self.engine.coalition_outcome(e, key)
-                    for e in range(self.n_episodes)
-                ]
+                self.engine.coalition_outcomes(
+                    [(e, key) for e in range(self.n_episodes)]
+                )
             )
         return self._cache[key]
 
     def value(self, members):
         return float(np.mean(self.per_episode(members)))
 
-    def precompute(self, mapper=map):
+    def precompute(self):
         """Evaluate every coalition of every episode up front.
 
-        Runs the interventional rollouts behind all 2**n coalition values,
-        optionally through a thread pool ``mapper``; afterwards Shapley
-        computation is pure arithmetic on cached arrays.
+        Runs the interventional rollouts behind all 2**n coalition values
+        as one batch; afterwards Shapley computation is pure arithmetic on
+        cached arrays.
         """
         subsets = [
             tuple(i for i in range(self.n_agents) if mask >> i & 1)
             for mask in range(2 ** self.n_agents)
         ]
-        jobs = [
-            (e, key) for key in subsets for e in range(self.n_episodes)
-        ]
-        list(mapper(lambda job: self.engine.coalition_outcome(*job), jobs))
+        self.engine.coalition_outcomes(
+            [(e, key) for key in subsets for e in range(self.n_episodes)]
+        )
         for key in subsets:
             self.per_episode(key)
         return self
@@ -104,24 +102,19 @@ class EffectResult:
 def run_interventions(engine, n_episodes, n_samples, mapper=map):
     """Counterfactual replays for every (agent, episode) cell.
 
-    ``mapper`` may be a thread pool's map; results come back as an
+    Each agent's replays over all episodes are one batch; ``mapper`` may be
+    a thread pool's map over agents. Results come back as an
     agent-by-episode grid, so the outcome never depends on completion
     order.
     """
-    n = engine.n_agents
-    for e in range(n_episodes):
-        engine.factual(e)
-    jobs = [(i, e) for i in range(n) for e in range(n_episodes)]
-    results = list(
+    episodes = range(n_episodes)
+    engine.factuals(episodes)
+    return list(
         mapper(
-            lambda job: engine.intervene_and_rollout(job[1], job[0], n_samples),
-            jobs,
+            lambda i: engine.interventions(i, episodes, n_samples),
+            range(engine.n_agents),
         )
     )
-    grid = [[None] * n_episodes for _ in range(n)]
-    for (i, e), agent_cf in zip(jobs, results):
-        grid[i][e] = agent_cf
-    return grid
 
 
 def effects_from_interventions(engine, grid):

@@ -2,10 +2,11 @@
 
 Subcommands: ``run`` analyses a built-in environment, ``ingest`` analyses a
 recorded episode log through the fitted structural model, ``explain``
-re-renders a stored report at any verbosity, ``bench`` measures rollout
-throughput and sample-size convergence, ``list-envs`` shows what can be
-simulated. Exit codes: 0 success, 2 configuration problems, 3 runtime
-failures.
+re-renders a stored report at any verbosity, ``bench`` measures how the
+attribution uncertainty converges in the counterfactual sample count,
+``list-envs`` shows what can be simulated. Exit codes: 0 success,
+2 configuration problems, 3 runtime failures (including malformed logs
+and reports).
 
 Options may also come from a JSON config file of dotted keys (for example
 ``cf.k`` or ``policy.alpha.0``); explicit command line flags win over the
@@ -23,7 +24,6 @@ from .envs import env_description, list_envs
 from .report import (
     RunConfig,
     bench_k_convergence,
-    bench_rollouts,
     explanation_from_report,
     read_report,
     run_pipeline,
@@ -149,7 +149,7 @@ def _build_config(args):
         overrides["alphas"] = merged
     if "alphas" in overrides:
         overrides["alphas"] = {int(k): float(v) for k, v in overrides["alphas"].items()}
-    return RunConfig(**overrides)
+    return RunConfig(**overrides).validate()
 
 
 def _emit_artifacts(report, args):
@@ -242,11 +242,6 @@ def build_parser():
 
     p_bench = sub.add_parser("bench", help="benchmarks")
     p_bench.add_argument(
-        "--compare-accel",
-        action="store_true",
-        help="compare compiled and pure Python rollout paths",
-    )
-    p_bench.add_argument(
         "--k-convergence",
         action="store_true",
         help="bootstrap SE of attributions as K grows",
@@ -284,28 +279,14 @@ def _cmd_explain(args):
 
 
 def _cmd_bench(args):
-    do_accel = args.compare_accel or args.all
-    do_k = args.k_convergence or args.all
-    if not do_accel and not do_k:
-        raise ConfigError(
-            "choose a benchmark: --compare-accel, --k-convergence, or --all"
-        )
-    if do_accel:
-        print("rollout throughput (lower is better):")
-        print(f"{'env':<14}{'accel_s':>10}{'python_s':>10}{'speedup':>9}")
-        for row in bench_rollouts():
-            accel = f"{row['accel_s']:.4f}" if row["accel_s"] is not None else "n/a"
-            speed = f"{row['speedup']:.1f}x" if row["speedup"] is not None else "n/a"
-            print(
-                f"{row['env']:<14}{accel:>10}{row['python_s']:>10.4f}{speed:>9}"
-            )
-    if do_k:
-        warmup(["gridworld"])
-        print("bootstrap SE of attributions by counterfactual sample count:")
-        print(f"{'k':<6}{'mean_se':>10}  per-agent")
-        for row in bench_k_convergence():
-            per_agent = ", ".join(f"{v:.4f}" for v in row["se"])
-            print(f"{row['k']:<6}{row['mean_se']:>10.4f}  [{per_agent}]")
+    if not (args.k_convergence or args.all):
+        raise ConfigError("choose a benchmark: --k-convergence or --all")
+    warmup(["gridworld"])
+    print("bootstrap SE of attributions by counterfactual sample count:")
+    print(f"{'k':<6}{'mean_se':>10}  per-agent")
+    for row in bench_k_convergence():
+        per_agent = ", ".join(f"{v:.4f}" for v in row["se"])
+        print(f"{row['k']:<6}{row['mean_se']:>10.4f}  [{per_agent}]")
     return 0
 
 

@@ -117,13 +117,37 @@ class History:
         return self.episodes[0].env_name
 
 
+def rewards_outcome(team_rewards, horizon, spec: OutcomeSpec = OutcomeSpec()) -> float:
+    """Outcome of an episode from its executed steps' team rewards (a list)."""
+    if spec.kind == CUMULATIVE_TEAM_REWARD:
+        return float(sum(team_rewards))
+    return 1.0 if len(team_rewards) < horizon else 0.0
+
+
+def rewards_trace(team_rewards, horizon, spec: OutcomeSpec = OutcomeSpec()) -> np.ndarray:
+    """Outcome trace padded to ``horizon`` from the executed steps' team rewards.
+
+    Episodes that terminate early hold their terminal cumulative value for
+    the remaining steps so traces of different episodes align.  Under the
+    success-indicator outcome the trace is 0 until the (early) final step.
+    """
+    out = np.zeros(horizon)
+    if spec.kind == CUMULATIVE_TEAM_REWARD:
+        trace = np.cumsum(team_rewards)
+        out[: len(trace)] = trace
+        out[len(trace) :] = trace[-1]
+    else:
+        out[len(team_rewards) - 1 :] = rewards_outcome(team_rewards, horizon, spec)
+    return out
+
+
 def episode_outcome(episode: Episode, spec: OutcomeSpec = OutcomeSpec()) -> float:
     """Scalar team outcome of one episode."""
     if not episode.steps:
         raise MacieError("episode has no steps")
-    if spec.kind == CUMULATIVE_TEAM_REWARD:
-        return float(sum(s.team_reward for s in episode.steps))
-    return 1.0 if episode.length < episode.horizon else 0.0
+    return rewards_outcome(
+        [s.team_reward for s in episode.steps], episode.horizon, spec
+    )
 
 
 def outcome(history_or_episode, spec: OutcomeSpec = OutcomeSpec()) -> float:
@@ -147,22 +171,12 @@ def cumulative_trace(episode: Episode) -> np.ndarray:
 
 
 def padded_trace(episode: Episode, spec: OutcomeSpec = OutcomeSpec()) -> np.ndarray:
-    """Outcome trace padded to the episode horizon.
-
-    Episodes that terminate early hold their terminal cumulative value for
-    the remaining steps so traces of different episodes align.  Under the
-    success-indicator outcome the trace is 0 until the (early) final step.
-    """
-    T = episode.horizon
-    out = np.zeros(T)
-    if spec.kind == CUMULATIVE_TEAM_REWARD:
-        trace = cumulative_trace(episode)
-        out[: len(trace)] = trace
-        out[len(trace) :] = trace[-1]
-    else:
-        val = episode_outcome(episode, spec)
-        out[episode.length - 1 :] = val
-    return out
+    """Outcome trace padded to the episode horizon; see :func:`rewards_trace`."""
+    if not episode.steps:
+        raise MacieError("episode has no steps")
+    return rewards_trace(
+        [s.team_reward for s in episode.steps], episode.horizon, spec
+    )
 
 
 def mean_trace(history: History, spec: OutcomeSpec = OutcomeSpec()) -> np.ndarray:
@@ -214,19 +228,33 @@ def write_log(history: History, path) -> None:
 
 
 def read_log(path) -> History:
-    """Read a history written by :func:`write_log`; round trip is bit-exact."""
+    """Read a history written by :func:`write_log`; round trip is bit-exact.
+
+    A malformed log raises :class:`MacieError` naming the offending line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not raw or not raw[0].startswith(_LOG_MAGIC):
+        raw = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not raw or not raw[0][1].startswith(_LOG_MAGIC):
         raise MacieError(f"not an episode log: {path}")
-    header = raw[0].split("\t")
-    version = header[0].split()[1]
-    if version != _LOG_VERSION:
-        raise MacieError(f"unsupported log version {version!r}")
-    meta = dict(kv.split("=", 1) for kv in header[1:])
-    env_name = meta["env"]
-    n_agents = int(meta["n_agents"])
-    horizon = int(meta["horizon"])
+    header_no, header_line = raw[0]
+    header = header_line.split("\t")
+    try:
+        version = header[0].split()[1]
+        if version != _LOG_VERSION:
+            raise MacieError(f"unsupported log version {version!r}")
+        meta = dict(kv.split("=", 1) for kv in header[1:])
+        env_name = meta["env"]
+        n_agents = int(meta["n_agents"])
+        horizon = int(meta["horizon"])
+        feature_names = meta["features"].split(",")
+    except KeyError as exc:
+        raise MacieError(
+            f"{path}, line {header_no}: log header lacks {exc.args[0]}="
+        ) from None
+    except (IndexError, ValueError) as exc:
+        raise MacieError(
+            f"{path}, line {header_no}: malformed log header ({exc})"
+        ) from None
 
     episodes: list[Episode] = []
     steps: list[Step] = []
@@ -245,29 +273,35 @@ def read_log(path) -> History:
                 )
             )
 
-    for line in raw[1:]:
+    for no, line in raw[1:]:
         parts = line.split("\t")
-        if parts[0] == "#episode":
-            flush()
-            steps, final_state = [], None
-            seed = int(parts[2])
-        elif parts[0] == "#final":
-            final_state = np.array([float(v) for v in parts[1].split(",")])
-        else:
+        try:
+            if parts[0] == "#episode":
+                flush()
+                steps, final_state = [], None
+                seed = int(parts[2])
+                continue
+            if parts[0] == "#final":
+                final_state = np.array([float(v) for v in parts[1].split(",")])
+                continue
             state = np.array([float(v) for v in parts[1].split(",")])
             actions = np.array([int(v) for v in parts[2].split(",")], dtype=np.int64)
             rew = [float(v) for v in parts[3].split(",")]
-            if len(actions) != n_agents:
-                raise MacieError("record disagrees with header agent count")
-            steps.append(
-                Step(
-                    state=state,
-                    joint_action=actions,
-                    rewards=np.array(rew[:-1]),
-                    team_reward=rew[-1],
-                )
+        except (IndexError, ValueError) as exc:
+            raise MacieError(f"{path}, line {no}: malformed record ({exc})") from None
+        if len(actions) != n_agents:
+            raise MacieError(
+                f"{path}, line {no}: record disagrees with header agent count"
             )
+        steps.append(
+            Step(
+                state=state,
+                joint_action=actions,
+                rewards=np.array(rew[:-1]),
+                team_reward=rew[-1],
+            )
+        )
     flush()
     if not episodes:
         raise MacieError(f"log contains no episodes: {path}")
-    return History(episodes=episodes, feature_names=meta["features"].split(","))
+    return History(episodes=episodes, feature_names=feature_names)

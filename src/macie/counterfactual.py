@@ -18,10 +18,19 @@ evaluates exactly to the factual outcome.
 Two propagation modes: ``env_resim`` replays through the real simulator;
 ``scm_rollout`` replays through the fitted structural model, which also
 works for ingested histories with no simulator attached.
+
+In ``env_resim`` every simulation goes through one batch builder: the
+factual episodes run as one batch, the replays of each intervened agent as
+one batch over (episode, sample), and the coalitions as one batch over
+(episode, coalition). Replay batches run in chunks of ``REPLAY_CHUNK``
+rows. Each stream is derived once per run: the ones several rows read are
+kept on the engine, and a later replicate of one agent's actions, which
+only its own replay reads, is drawn where it is used.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,12 +44,18 @@ from .core import (
     Step,
     episode_outcome,
     padded_trace,
+    rewards_outcome,
+    rewards_trace,
 )
 from .policies import BaselinePolicy, policy_arrays
 from .rng import SeedTree
 
 MODES = ("env_resim", "scm_rollout")
 DEFAULT_EPSILON_FRAC = 0.1
+# Rows per replay rollout: wide enough that numpy's per-call cost spreads
+# over many episodes, narrow enough that a chunk's recorded trajectories
+# (about 0.5 MB for coopnav) add little to peak memory.
+REPLAY_CHUNK = 128
 
 
 def critical_timesteps(fact_trace, cf_trace, epsilon):
@@ -120,6 +135,9 @@ class CounterfactualEngine:
         self.epsilon_frac = epsilon_frac
         self._factual: dict[int, Episode] = {}
         self._coalitions: dict[tuple, float] = {}
+        self._draws: dict[tuple, np.ndarray] = {}
+        # replay batches of different agents may run on a thread pool
+        self._draws_lock = threading.Lock()
 
     # -- basic dimensions ----------------------------------------------------
 
@@ -144,14 +162,37 @@ class CounterfactualEngine:
     # -- factual episodes ------------------------------------------------------
 
     def factual(self, e):
-        if e not in self._factual:
-            if self.history is not None:
+        return self.factuals([e])[0]
+
+    def factuals(self, episodes):
+        """Factual episodes by index; the uncached ones simulate as one batch."""
+        missing = [e for e in dict.fromkeys(episodes) if e not in self._factual]
+        if missing and self.history is not None:
+            for e in missing:
                 self._factual[e] = self.history.episodes[e]
-            else:
-                self._factual[e] = self._simulate(
-                    e, self.policies, [0] * self.n_agents, 0
+        elif missing:
+            n = self.n_agents
+            rows = [(e, (), (0,) * n, 0) for e in missing]
+            states, actions, rewards, team, length = self._replay(rows)
+            for b, e in enumerate(missing):
+                L = int(length[b])
+                steps = [
+                    Step(
+                        state=states[b, t].copy(),
+                        joint_action=actions[b, t].copy(),
+                        rewards=rewards[b, t].copy(),
+                        team_reward=float(team[b, t]),
+                    )
+                    for t in range(L)
+                ]
+                self._factual[e] = Episode(
+                    steps=steps,
+                    env_name=self.env.name,
+                    seed=e,
+                    horizon=self.env.horizon,
+                    final_state=states[b, L].copy(),
                 )
-        return self._factual[e]
+        return [self._factual[e] for e in episodes]
 
     def factual_outcome(self, e):
         return episode_outcome(self.factual(e), self.outcome)
@@ -159,44 +200,71 @@ class CounterfactualEngine:
     def generate_history(self, n_episodes):
         if self.env is None:
             raise MacieError("no environment attached; cannot generate episodes")
-        eps = [self.factual(e) for e in range(n_episodes)]
+        eps = self.factuals(range(n_episodes))
         return History(
             episodes=eps, feature_names=list(self.env.feature_names)
         )
 
     # -- simulation --------------------------------------------------------------
 
-    def _simulate(self, e, policies, agent_reps, env_rep):
+    def _draw(self, draw, tag, *indices):
+        """``draw(stream)`` for the stream keyed ``(tag, *indices)``, derived once."""
+        key = (tag, *indices)
+        with self._draws_lock:
+            if key not in self._draws:
+                self._draws[key] = draw(self.tree.stream(tag, *indices))
+            return self._draws[key]
+
+    def _act_draws(self, e, agent, rep):
+        T = self.horizon
+        if rep > 0:
+            return self.tree.stream("act", e, agent, rep).random((T, 2))
+        return self._draw(lambda g: g.random((T, 2)), "act", e, agent, rep)
+
+    def _replay(self, rows):
+        """Simulate rows of ``(episode, baseline agents, agent reps, env rep)``.
+
+        Agents named in a row play the baseline policy, the others their
+        factual policy; agent ``j`` draws from its replicate ``reps[j]`` and
+        the environment from ``env_rep``. Returns the batched rollout.
+        """
         env = self.env
-        T = env.horizon
-        n = env.n_agents
-        s0 = env.initial_state(self.tree.stream("reset", e))
-        act_u = np.empty((T, n, 2))
-        for j in range(n):
-            act_u[:, j, :] = self.tree.stream("act", e, j, agent_reps[j]).random(
-                (T, 2)
-            )
-        env_u = env.env_draws(self.tree.stream("env", e, env_rep), T)
-        kinds, alphas, consts = policy_arrays(policies)
-        states, actions, rewards, team, length = env.rollout(
-            s0, T, kinds, alphas, consts, act_u, env_u
+        T, n, B = env.horizon, env.n_agents, len(rows)
+        S0 = np.empty((B, env.state_dim))
+        act_u = np.empty((B, T, n, 2))
+        if env.uses_env_draws:
+            env_u = np.empty((B, T, n, 2))
+        else:
+            env_u = np.broadcast_to(0.0, (B, T, n, 2))
+        baseline = np.zeros((B, n), dtype=bool)
+        for b, (e, swapped, reps, env_rep) in enumerate(rows):
+            S0[b] = self._draw(env.initial_state, "reset", e)
+            for j in range(n):
+                act_u[b, :, j] = self._act_draws(e, j, reps[j])
+            if env.uses_env_draws:
+                env_u[b] = self._draw(lambda g: env.env_draws(g, T), "env", e, env_rep)
+            baseline[b, list(swapped)] = True
+        factual = policy_arrays(self.policies)
+        swap = policy_arrays([self.baseline] * n)
+        kinds, alphas, consts = (
+            np.where(baseline, s, f) for f, s in zip(factual, swap)
         )
-        steps = [
-            Step(
-                state=states[t].copy(),
-                joint_action=actions[t].copy(),
-                rewards=rewards[t].copy(),
-                team_reward=float(team[t]),
-            )
-            for t in range(length)
-        ]
-        return Episode(
-            steps=steps,
-            env_name=env.name,
-            seed=e,
-            horizon=T,
-            final_state=states[length].copy(),
-        )
+        return env.rollout_batch(S0, kinds, alphas, consts, act_u, env_u)
+
+    def _replay_outcomes(self, rows):
+        """``(trace, outcome)`` of each replayed row, without building steps."""
+        out = []
+        for start in range(0, len(rows), REPLAY_CHUNK):
+            _, _, _, team, length = self._replay(rows[start : start + REPLAY_CHUNK])
+            for b in range(len(length)):
+                rewards = team[b, : length[b]].tolist()
+                out.append(
+                    (
+                        rewards_trace(rewards, self.horizon, self.outcome),
+                        rewards_outcome(rewards, self.horizon, self.outcome),
+                    )
+                )
+        return out
 
     # -- counterfactuals -----------------------------------------------------------
 
@@ -205,21 +273,36 @@ class CounterfactualEngine:
 
     def intervene_and_rollout(self, e, agent, n_samples):
         """Replace one agent's policy with the baseline, K times."""
+        return self.interventions(agent, [e], n_samples)[0]
+
+    def interventions(self, agent, episodes, n_samples):
+        """``intervene_and_rollout`` for each episode, as one replay batch."""
         if not 0 <= agent < self.n_agents:
             raise ConfigError(f"agent {agent} out of range (n={self.n_agents})")
         if n_samples < 1:
             raise ConfigError(f"need at least one sample, got {n_samples}")
-        fact = self.factual(e)
-        y_fact = episode_outcome(fact, self.outcome)
-        fact_trace = padded_trace(fact, self.outcome)
-        eps = self.epsilon(y_fact)
-        samples = []
-        for k in range(n_samples):
-            if self.mode == "env_resim":
-                trace, y_cf = self._cf_env(e, agent, k)
-            else:
-                trace, y_cf = self._cf_scm(e, agent, k)
-            samples.append(
+        episodes = list(episodes)
+        facts = self.factuals(episodes)
+        if self.mode == "env_resim":
+            rows = []
+            for e in episodes:
+                for k in range(n_samples):
+                    reps = [0] * self.n_agents
+                    reps[agent] = k
+                    rows.append((e, (agent,), reps, k))
+            replays = self._replay_outcomes(rows)
+        else:
+            replays = [
+                self._cf_scm(e, agent, k)
+                for e in episodes
+                for k in range(n_samples)
+            ]
+        out = []
+        for i, fact in enumerate(facts):
+            y_fact = episode_outcome(fact, self.outcome)
+            fact_trace = padded_trace(fact, self.outcome)
+            eps = self.epsilon(y_fact)
+            samples = [
                 CFSample(
                     agent=agent,
                     k=k,
@@ -227,44 +310,51 @@ class CounterfactualEngine:
                     trace=trace,
                     critical=critical_timesteps(fact_trace, trace, eps),
                 )
+                for k, (trace, y_cf) in enumerate(
+                    replays[i * n_samples : (i + 1) * n_samples]
+                )
+            ]
+            mean_trace = np.mean([s.trace for s in samples], axis=0)
+            out.append(
+                AgentCF(
+                    agent=agent,
+                    y_fact=y_fact,
+                    y_cf_mean=float(np.mean([s.y_cf for s in samples])),
+                    samples=samples,
+                    critical=critical_timesteps(fact_trace, mean_trace, eps),
+                )
             )
-        mean_trace = np.mean([s.trace for s in samples], axis=0)
-        return AgentCF(
-            agent=agent,
-            y_fact=y_fact,
-            y_cf_mean=float(np.mean([s.y_cf for s in samples])),
-            samples=samples,
-            critical=critical_timesteps(fact_trace, mean_trace, eps),
-        )
-
-    def _cf_env(self, e, agent, k):
-        policies = list(self.policies)
-        policies[agent] = self.baseline
-        reps = [0] * self.n_agents
-        reps[agent] = k
-        ep = self._simulate(e, policies, reps, k)
-        return padded_trace(ep, self.outcome), episode_outcome(ep, self.outcome)
+        return out
 
     # -- coalitions --------------------------------------------------------------
 
     def coalition_outcome(self, e, members):
         """Outcome with non-members swapped to the baseline policy."""
-        key = (e, tuple(sorted(members)))
-        if key not in self._coalitions:
-            bad = [i for i in key[1] if not 0 <= i < self.n_agents]
+        return self.coalition_outcomes([(e, members)])[0]
+
+    def coalition_outcomes(self, pairs):
+        """``coalition_outcome`` of each (episode, members) pair.
+
+        Pairs not yet cached run as one replay batch in ``env_resim``.
+        """
+        keys = [(e, tuple(sorted(members))) for e, members in pairs]
+        missing = [k for k in dict.fromkeys(keys) if k not in self._coalitions]
+        for _, members in missing:
+            bad = [i for i in members if not 0 <= i < self.n_agents]
             if bad:
                 raise ConfigError(f"coalition members out of range: {bad}")
-            if self.mode == "env_resim":
-                members_set = set(key[1])
-                policies = [
-                    self.policies[i] if i in members_set else self.baseline
-                    for i in range(self.n_agents)
-                ]
-                ep = self._simulate(e, policies, [0] * self.n_agents, 0)
-                self._coalitions[key] = episode_outcome(ep, self.outcome)
-            else:
-                self._coalitions[key] = self._coalition_scm(e, set(key[1]))
-        return self._coalitions[key]
+        if missing and self.mode == "env_resim":
+            n = self.n_agents
+            rows = [
+                (e, [j for j in range(n) if j not in members], (0,) * n, 0)
+                for e, members in missing
+            ]
+            for key, (_, y) in zip(missing, self._replay_outcomes(rows)):
+                self._coalitions[key] = y
+        else:
+            for e, members in missing:
+                self._coalitions[(e, members)] = self._coalition_scm(e, set(members))
+        return [self._coalitions[k] for k in keys]
 
     # -- structural-model propagation ------------------------------------------------
 
@@ -276,10 +366,7 @@ class CounterfactualEngine:
         fact = self.factual(e)
         T = fact.horizon
         n = self.n_agents
-        draws = {
-            j: self.tree.stream("act", e, j, k).random((T, 2))
-            for j in uniform_agents
-        }
+        draws = {j: self._act_draws(e, j, k) for j in uniform_agents}
         s = np.asarray(fact.steps[0].state, dtype=np.float64)
         prev_a = np.asarray(fact.steps[0].joint_action, dtype=np.int64)
         rewards = np.zeros(T)

@@ -1,555 +1,95 @@
-"""Episode rollout kernels for the built-in environments.
+"""Batched episode rollouts for the built-in environments.
 
-Each kernel simulates one full episode from pre-drawn uniforms, so the same
-function gives bit-identical trajectories whether it runs compiled (numba)
-or as plain Python; no random state lives inside a kernel.
+One rollout serves every environment: it steps B episodes at once over a
+leading batch axis, asking the environment for its greedy actions and its
+transition (both batched, see ``worlds``). Row ``b`` depends only on its own
+inputs, so an episode gives the same trajectory alone or inside any batch,
+and no random state lives inside a rollout.
 
 Shared conventions:
 
 - actions: ``0=up(+y)  1=down(-y)  2=left(-x)  3=right(+x)  4=stay``
   (traffic uses ``0=NS-green 1=EW-green``);
-- per-agent policy spec: ``kinds[i]`` 0 skill-mix, 1 uniform, 2 constant,
-  with ``alphas[i]`` the greedy probability and ``consts[i]`` the fixed
-  action;
-- ``act_u[t, i]`` holds two uniforms per agent per step: the first decides
-  greedy-vs-random for skill policies, the second picks the random action.
-  Every policy kind is budgeted the same two draws, so swapping the policy
-  on a fixed stream never shifts another agent's draws;
-- kernels return ``(states, actions, rewards, team, length)`` padded to the
-  horizon, with ``length`` the number of executed steps.
+- per-agent policy spec: ``kinds[b, i]`` 0 skill-mix, 1 uniform,
+  2 constant, with ``alphas[b, i]`` the greedy probability and
+  ``consts[b, i]`` the fixed action (see ``policies.select_actions``);
+- ``act_u[b, t, i]`` holds two uniforms per agent per step: the first
+  decides greedy-vs-random for skill policies, the second picks the random
+  action. Every policy kind is budgeted the same two draws, so swapping the
+  policy on a fixed stream never shifts another agent's draws;
+- ``env_u[b, t, i]`` holds two uniforms of environment noise per agent per
+  step (only traffic reads them);
+- a rollout returns ``(states[B, T+1, D], actions[B, T, n],
+  rewards[B, T, n], team[B, T], length[B])``, with ``length`` the number
+  of executed steps. Entries after a row's last step stay zero.
 
-Greedy rules are intentionally inlined per kernel (kernels cannot call each
-other under both execution paths); the standalone ``*_greedy`` kernels used
-by the policy layer are kept in lockstep by tests.
+The dynamics keep the arithmetic of the scalar definitions they replaced,
+so reports stay bit-identical: powers go through ``np.float_power`` (C
+``pow``, as Python's ``**``; ``np.sqrt`` and ``x * x`` round differently on
+some inputs), rewards are summed in agent order, and ties go to the lowest
+action or landmark index.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._accel import kernel
+from ..policies import select_actions
 
 
-def _pick(kind, alpha, const, n_actions, greedy, u1, u2):
-    # Plain helper duplicated inline inside kernels; kept here as the single
-    # statement of the action-selection rule for reference and tests.
-    if kind == 2:
-        return const
-    if kind == 0 and u1 < alpha:
-        return greedy
-    return int(u2 * n_actions)
+def grid_moves(x, y, step, hi):
+    """Positions after each of the five actions, on a new last axis.
+
+    ``x`` and ``y`` are arrays of coordinates clipped to ``[0, hi]``; the
+    result holds ``(xs, ys)``, each of shape ``x.shape + (5,)``.
+    """
+    up = np.minimum(y + step, hi)
+    down = np.maximum(y - step, 0.0)
+    left = np.maximum(x - step, 0.0)
+    right = np.minimum(x + step, hi)
+    xs = np.stack([x, x, left, right, x], axis=-1)
+    ys = np.stack([up, down, y, y, y], axis=-1)
+    return xs, ys
 
 
-# ---------------------------------------------------------------------------
-# GridWorld: 2 agents on a width x width grid.
-# State: [a0x, a0y, a1x, a1y, g0x, g0y, g1x, g1y, reached0, reached1]
+def take(options, index):
+    """``options[..., index[...]]``: one entry of the last axis per element."""
+    return np.take_along_axis(options, index[..., None], axis=-1)[..., 0]
 
 
-@kernel
-def gridworld_greedy(state, width, agent):
-    px = state[2 * agent]
-    py = state[2 * agent + 1]
-    gx = state[4 + 2 * agent]
-    gy = state[4 + 2 * agent + 1]
-    best = 0
-    best_d = 1e18
-    for a in range(5):
-        x = px
-        y = py
-        if a == 0:
-            y = min(y + 1.0, width - 1.0)
-        elif a == 1:
-            y = max(y - 1.0, 0.0)
-        elif a == 2:
-            x = max(x - 1.0, 0.0)
-        elif a == 3:
-            x = min(x + 1.0, width - 1.0)
-        d = abs(x - gx) + abs(y - gy)
-        if d < best_d:
-            best_d = d
-            best = a
-    return best
+def rollout(env, S0, kinds, alphas, consts, act_u, env_u):
+    """Simulate B episodes of ``env`` for ``act_u.shape[1]`` steps at most.
 
-
-@kernel
-def gridworld_rollout(
-    state0, width, horizon, step_cost, goal_reward, bonus, kinds, alphas, consts, act_u
-):
-    D = state0.shape[0]
-    states = np.zeros((horizon + 1, D))
-    actions = np.zeros((horizon, 2), dtype=np.int64)
-    rewards = np.zeros((horizon, 2))
-    team = np.zeros(horizon)
-    s = state0.copy()
-    states[0] = s
-    length = horizon
-    for t in range(horizon):
-        for i in range(2):
-            px = s[2 * i]
-            py = s[2 * i + 1]
-            gx = s[4 + 2 * i]
-            gy = s[4 + 2 * i + 1]
-            best = 0
-            best_d = 1e18
-            for a in range(5):
-                x = px
-                y = py
-                if a == 0:
-                    y = min(y + 1.0, width - 1.0)
-                elif a == 1:
-                    y = max(y - 1.0, 0.0)
-                elif a == 2:
-                    x = max(x - 1.0, 0.0)
-                elif a == 3:
-                    x = min(x + 1.0, width - 1.0)
-                d = abs(x - gx) + abs(y - gy)
-                if d < best_d:
-                    best_d = d
-                    best = a
-            kind = kinds[i]
-            if kind == 2:
-                act = consts[i]
-            elif kind == 0 and act_u[t, i, 0] < alphas[i]:
-                act = best
-            else:
-                act = int(act_u[t, i, 1] * 5)
-            actions[t, i] = act
-        # apply moves
-        for i in range(2):
-            a = actions[t, i]
-            x = s[2 * i]
-            y = s[2 * i + 1]
-            if a == 0:
-                y = min(y + 1.0, width - 1.0)
-            elif a == 1:
-                y = max(y - 1.0, 0.0)
-            elif a == 2:
-                x = max(x - 1.0, 0.0)
-            elif a == 3:
-                x = min(x + 1.0, width - 1.0)
-            s[2 * i] = x
-            s[2 * i + 1] = y
-        on_goal0 = s[0] == s[4] and s[1] == s[5]
-        on_goal1 = s[2] == s[6] and s[3] == s[7]
-        for i in range(2):
-            r = -step_cost
-            on = on_goal0 if i == 0 else on_goal1
-            if on and s[8 + i] == 0.0:
-                r += goal_reward
-                s[8 + i] = 1.0
-            rewards[t, i] = r
-        tr = rewards[t, 0] + rewards[t, 1]
-        done = False
-        if on_goal0 and on_goal1:
-            tr += bonus
-            done = True
-        team[t] = tr
-        states[t + 1] = s
-        if done:
-            length = t + 1
+    Each step picks every agent's action by the policy rule from the
+    environment's greedy actions, then applies the environment's
+    transition. A row stops counting at the first step its transition
+    reports as terminal; the rows still running keep the batch going.
+    """
+    B, T, n = act_u.shape[:3]
+    s = np.array(S0, dtype=np.float64)
+    states = np.zeros((B, T + 1, s.shape[1]))
+    actions = np.zeros((B, T, n), dtype=np.int64)
+    rewards = np.zeros((B, T, n))
+    team = np.zeros((B, T))
+    length = np.full(B, T, dtype=np.int64)
+    alive = np.ones(B, dtype=bool)
+    states[:, 0] = s
+    for t in range(T):
+        greedy = env.greedy_actions(s)
+        a = select_actions(kinds, alphas, consts, greedy, act_u[:, t], env.n_actions)
+        r, tr, done = env.transition(s, a, env_u[:, t])
+        actions[:, t] = a
+        rewards[:, t] = r
+        team[:, t] = tr
+        states[:, t + 1] = s
+        length[alive & done] = t + 1
+        alive &= ~done
+        if not alive.any():
             break
+    # rows that ended early kept moving with the batch; blank their tails
+    after = np.arange(T) >= length[:, None]
+    actions[after] = 0
+    rewards[after] = 0.0
+    team[after] = 0.0
+    states[np.arange(T + 1) > length[:, None]] = 0.0
     return states, actions, rewards, team, length
-
-
-# ---------------------------------------------------------------------------
-# CoopNav: 3 agents and 3 landmarks on the continuous unit square.
-# State: [x0, y0, x1, y1, x2, y2, l0x, l0y, l1x, l1y, l2x, l2y]
-
-
-@kernel
-def coopnav_greedy(state, agent):
-    ax = state[2 * agent]
-    ay = state[2 * agent + 1]
-    # nearest landmark not already covered by a different agent
-    target = -1
-    target_d = 1e18
-    for l in range(3):
-        lx = state[6 + 2 * l]
-        ly = state[6 + 2 * l + 1]
-        covered = False
-        for j in range(3):
-            if j == agent:
-                continue
-            dx = state[2 * j] - lx
-            dy = state[2 * j + 1] - ly
-            if (dx * dx + dy * dy) ** 0.5 < 0.1:
-                covered = True
-                break
-        if not covered:
-            d = ((ax - lx) ** 2 + (ay - ly) ** 2) ** 0.5
-            if d < target_d:
-                target_d = d
-                target = l
-    if target < 0:
-        for l in range(3):
-            lx = state[6 + 2 * l]
-            ly = state[6 + 2 * l + 1]
-            d = ((ax - lx) ** 2 + (ay - ly) ** 2) ** 0.5
-            if d < target_d:
-                target_d = d
-                target = l
-    tx = state[6 + 2 * target]
-    ty = state[6 + 2 * target + 1]
-    best = 0
-    best_d = 1e18
-    for a in range(5):
-        x = ax
-        y = ay
-        if a == 0:
-            y = min(y + 0.1, 1.0)
-        elif a == 1:
-            y = max(y - 0.1, 0.0)
-        elif a == 2:
-            x = max(x - 0.1, 0.0)
-        elif a == 3:
-            x = min(x + 0.1, 1.0)
-        d = ((x - tx) ** 2 + (y - ty) ** 2) ** 0.5
-        if d < best_d:
-            best_d = d
-            best = a
-    return best
-
-
-@kernel
-def coopnav_rollout(state0, horizon, kinds, alphas, consts, act_u):
-    D = state0.shape[0]
-    states = np.zeros((horizon + 1, D))
-    actions = np.zeros((horizon, 3), dtype=np.int64)
-    rewards = np.zeros((horizon, 3))
-    team = np.zeros(horizon)
-    s = state0.copy()
-    states[0] = s
-    for t in range(horizon):
-        for i in range(3):
-            ax = s[2 * i]
-            ay = s[2 * i + 1]
-            target = -1
-            target_d = 1e18
-            for l in range(3):
-                lx = s[6 + 2 * l]
-                ly = s[6 + 2 * l + 1]
-                covered = False
-                for j in range(3):
-                    if j == i:
-                        continue
-                    dx = s[2 * j] - lx
-                    dy = s[2 * j + 1] - ly
-                    if (dx * dx + dy * dy) ** 0.5 < 0.1:
-                        covered = True
-                        break
-                if not covered:
-                    d = ((ax - lx) ** 2 + (ay - ly) ** 2) ** 0.5
-                    if d < target_d:
-                        target_d = d
-                        target = l
-            if target < 0:
-                for l in range(3):
-                    lx = s[6 + 2 * l]
-                    ly = s[6 + 2 * l + 1]
-                    d = ((ax - lx) ** 2 + (ay - ly) ** 2) ** 0.5
-                    if d < target_d:
-                        target_d = d
-                        target = l
-            tx = s[6 + 2 * target]
-            ty = s[6 + 2 * target + 1]
-            best = 0
-            best_d = 1e18
-            for a in range(5):
-                x = ax
-                y = ay
-                if a == 0:
-                    y = min(y + 0.1, 1.0)
-                elif a == 1:
-                    y = max(y - 0.1, 0.0)
-                elif a == 2:
-                    x = max(x - 0.1, 0.0)
-                elif a == 3:
-                    x = min(x + 0.1, 1.0)
-                d = ((x - tx) ** 2 + (y - ty) ** 2) ** 0.5
-                if d < best_d:
-                    best_d = d
-                    best = a
-            kind = kinds[i]
-            if kind == 2:
-                act = consts[i]
-            elif kind == 0 and act_u[t, i, 0] < alphas[i]:
-                act = best
-            else:
-                act = int(act_u[t, i, 1] * 5)
-            actions[t, i] = act
-        for i in range(3):
-            a = actions[t, i]
-            x = s[2 * i]
-            y = s[2 * i + 1]
-            if a == 0:
-                y = min(y + 0.1, 1.0)
-            elif a == 1:
-                y = max(y - 0.1, 0.0)
-            elif a == 2:
-                x = max(x - 0.1, 0.0)
-            elif a == 3:
-                x = min(x + 0.1, 1.0)
-            s[2 * i] = x
-            s[2 * i + 1] = y
-        cost = 0.0
-        for l in range(3):
-            lx = s[6 + 2 * l]
-            ly = s[6 + 2 * l + 1]
-            dmin = 1e18
-            for i in range(3):
-                d = ((s[2 * i] - lx) ** 2 + (s[2 * i + 1] - ly) ** 2) ** 0.5
-                if d < dmin:
-                    dmin = d
-            cost += dmin
-        collisions = 0
-        for i in range(3):
-            for j in range(i + 1, 3):
-                dx = s[2 * i] - s[2 * j]
-                dy = s[2 * i + 1] - s[2 * j + 1]
-                if (dx * dx + dy * dy) ** 0.5 < 0.1:
-                    collisions += 1
-        tr = -cost - 1.0 * collisions
-        team[t] = tr
-        for i in range(3):
-            rewards[t, i] = tr / 3.0
-        states[t + 1] = s
-    return states, actions, rewards, team, horizon
-
-
-# ---------------------------------------------------------------------------
-# PredatorPrey: 2 predators chase a scripted prey on a width x width grid.
-# State: [p0x, p0y, p1x, p1y, preyx, preyy]
-
-
-@kernel
-def predator_greedy(state, width, agent):
-    px = state[2 * agent]
-    py = state[2 * agent + 1]
-    qx = state[4]
-    qy = state[5]
-    best = 0
-    best_d = 1e18
-    for a in range(5):
-        x = px
-        y = py
-        if a == 0:
-            y = min(y + 1.0, width - 1.0)
-        elif a == 1:
-            y = max(y - 1.0, 0.0)
-        elif a == 2:
-            x = max(x - 1.0, 0.0)
-        elif a == 3:
-            x = min(x + 1.0, width - 1.0)
-        d = abs(x - qx) + abs(y - qy)
-        if d < best_d:
-            best_d = d
-            best = a
-    return best
-
-
-@kernel
-def predator_rollout(
-    state0,
-    width,
-    horizon,
-    step_cost,
-    capture_reward,
-    collision_penalty,
-    kinds,
-    alphas,
-    consts,
-    act_u,
-):
-    D = state0.shape[0]
-    states = np.zeros((horizon + 1, D))
-    actions = np.zeros((horizon, 2), dtype=np.int64)
-    rewards = np.zeros((horizon, 2))
-    team = np.zeros(horizon)
-    s = state0.copy()
-    states[0] = s
-    length = horizon
-    for t in range(horizon):
-        qx = s[4]
-        qy = s[5]
-        for i in range(2):
-            px = s[2 * i]
-            py = s[2 * i + 1]
-            best = 0
-            best_d = 1e18
-            for a in range(5):
-                x = px
-                y = py
-                if a == 0:
-                    y = min(y + 1.0, width - 1.0)
-                elif a == 1:
-                    y = max(y - 1.0, 0.0)
-                elif a == 2:
-                    x = max(x - 1.0, 0.0)
-                elif a == 3:
-                    x = min(x + 1.0, width - 1.0)
-                d = abs(x - qx) + abs(y - qy)
-                if d < best_d:
-                    best_d = d
-                    best = a
-            kind = kinds[i]
-            if kind == 2:
-                act = consts[i]
-            elif kind == 0 and act_u[t, i, 0] < alphas[i]:
-                act = best
-            else:
-                act = int(act_u[t, i, 1] * 5)
-            actions[t, i] = act
-        # prey evades first: maximise the minimum distance to the predators
-        best_a = 0
-        best_d = -1.0
-        for a in range(5):
-            x = qx
-            y = qy
-            if a == 0:
-                y = min(y + 1.0, width - 1.0)
-            elif a == 1:
-                y = max(y - 1.0, 0.0)
-            elif a == 2:
-                x = max(x - 1.0, 0.0)
-            elif a == 3:
-                x = min(x + 1.0, width - 1.0)
-            d0 = abs(x - s[0]) + abs(y - s[1])
-            d1 = abs(x - s[2]) + abs(y - s[3])
-            dmin = d0 if d0 < d1 else d1
-            if dmin > best_d:
-                best_d = dmin
-                best_a = a
-        if best_a == 0:
-            s[5] = min(s[5] + 1.0, width - 1.0)
-        elif best_a == 1:
-            s[5] = max(s[5] - 1.0, 0.0)
-        elif best_a == 2:
-            s[4] = max(s[4] - 1.0, 0.0)
-        elif best_a == 3:
-            s[4] = min(s[4] + 1.0, width - 1.0)
-        # predators move after the prey; capture means landing on it
-        for i in range(2):
-            a = actions[t, i]
-            x = s[2 * i]
-            y = s[2 * i + 1]
-            if a == 0:
-                y = min(y + 1.0, width - 1.0)
-            elif a == 1:
-                y = max(y - 1.0, 0.0)
-            elif a == 2:
-                x = max(x - 1.0, 0.0)
-            elif a == 3:
-                x = min(x + 1.0, width - 1.0)
-            s[2 * i] = x
-            s[2 * i + 1] = y
-        captured = (s[0] == s[4] and s[1] == s[5]) or (
-            s[2] == s[4] and s[3] == s[5]
-        )
-        # crowding: predators within L1 distance 2 get in each other's
-        # way, so each pays the collision penalty
-        crowded = abs(s[0] - s[2]) + abs(s[1] - s[3]) <= 2.0
-        for i in range(2):
-            r = -step_cost
-            if crowded:
-                r -= collision_penalty
-            if captured:
-                r += capture_reward
-            rewards[t, i] = r
-        team[t] = rewards[t, 0] + rewards[t, 1]
-        states[t + 1] = s
-        if captured:
-            length = t + 1
-            break
-    return states, actions, rewards, team, length
-
-
-# ---------------------------------------------------------------------------
-# Traffic: 3 intersections, each with NS and EW queues and a 2-action light.
-# State: [ns0, ew0, ns1, ew1, ns2, ew2]
-
-
-@kernel
-def traffic_greedy(state, agent):
-    if state[2 * agent] >= state[2 * agent + 1]:
-        return 0
-    return 1
-
-
-@kernel
-def traffic_rollout(
-    state0, horizon, arrival_p, service, kinds, alphas, consts, act_u, env_u
-):
-    D = state0.shape[0]
-    states = np.zeros((horizon + 1, D))
-    actions = np.zeros((horizon, 3), dtype=np.int64)
-    rewards = np.zeros((horizon, 3))
-    team = np.zeros(horizon)
-    s = state0.copy()
-    states[0] = s
-    for t in range(horizon):
-        for i in range(3):
-            greedy = 0 if s[2 * i] >= s[2 * i + 1] else 1
-            kind = kinds[i]
-            if kind == 2:
-                act = consts[i]
-            elif kind == 0 and act_u[t, i, 0] < alphas[i]:
-                act = greedy
-            else:
-                act = int(act_u[t, i, 1] * 2)
-            actions[t, i] = act
-        tr = 0.0
-        for i in range(3):
-            a = actions[t, i]
-            q = 2 * i + a  # index of the green queue
-            dep = s[q] if s[q] < service else service
-            s[q] = s[q] - dep
-            r = -(s[2 * i] + s[2 * i + 1]) / 10.0
-            rewards[t, i] = r
-            tr += r
-        team[t] = tr
-        for i in range(3):
-            if env_u[t, i, 0] < arrival_p:
-                s[2 * i] = s[2 * i] + 1.0
-            if env_u[t, i, 1] < arrival_p:
-                s[2 * i + 1] = s[2 * i + 1] + 1.0
-        states[t + 1] = s
-    return states, actions, rewards, team, horizon
-
-
-# ---------------------------------------------------------------------------
-# AdditiveLine: 2 agents on an integer line; rewards depend only on own action.
-# State: [x0, x1]
-
-
-@kernel
-def additive_rollout(state0, limit, horizon, kinds, alphas, consts, act_u):
-    D = state0.shape[0]
-    states = np.zeros((horizon + 1, D))
-    actions = np.zeros((horizon, 2), dtype=np.int64)
-    rewards = np.zeros((horizon, 2))
-    team = np.zeros(horizon)
-    s = state0.copy()
-    states[0] = s
-    for t in range(horizon):
-        tr = 0.0
-        for i in range(2):
-            kind = kinds[i]
-            if kind == 2:
-                act = consts[i]
-            elif kind == 0 and act_u[t, i, 0] < alphas[i]:
-                act = 3  # greedy: move right
-            else:
-                act = int(act_u[t, i, 1] * 5)
-            actions[t, i] = act
-            r = 0.0
-            if act == 3:
-                r = 1.0
-                s[i] = min(s[i] + 1.0, limit)
-            elif act == 2:
-                r = -1.0
-                s[i] = max(s[i] - 1.0, 0.0)
-            rewards[t, i] = r
-            tr += r
-        team[t] = tr
-        states[t + 1] = s
-    return states, actions, rewards, team, horizon

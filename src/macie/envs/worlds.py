@@ -1,15 +1,17 @@
 """Built-in multi-agent environments.
 
 Every environment exposes the same surface: a fixed agent count and action
-space, named state features, deterministic greedy actions, and a batch
-``rollout`` that simulates a whole episode from pre-drawn uniforms (see
-``kernels``). ``step`` is implemented on top of the same rollout kernel with
-a one-step horizon and constant actions, so single-step and batch paths can
-never drift apart.
+space, named state features, and its dynamics written once over a batch
+axis: ``greedy_actions`` (every agent's greedy action in every row) and
+``transition`` (apply one joint action to every row). ``rollout_batch``
+simulates whole episodes from pre-drawn uniforms with them (see
+``kernels``); ``rollout``, ``step`` and ``greedy_action`` run the same code
+on a single row, so the single-episode and batch paths cannot drift apart.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -17,14 +19,7 @@ import numpy as np
 
 from ..core import ConfigError
 from . import kernels
-
-
-def _const_arrays(actions):
-    n = len(actions)
-    kinds = np.full(n, 2, dtype=np.int64)
-    alphas = np.zeros(n)
-    consts = np.asarray(actions, dtype=np.int64)
-    return kinds, alphas, consts
+from .kernels import grid_moves, take
 
 
 class Environment:
@@ -45,11 +40,37 @@ class Environment:
     def initial_state(self, rng):
         raise NotImplementedError
 
-    def greedy_action(self, state, agent):
+    def greedy_actions(self, S):
+        """Greedy action of every agent in every row of ``S[B, D]``: ``[B, n]``."""
         raise NotImplementedError
 
-    def rollout(self, state0, horizon, kinds, alphas, consts, act_u, env_u):
+    def transition(self, s, a, env_u):
+        """Apply joint actions ``a[B, n]`` to the states ``s[B, D]`` in place.
+
+        ``env_u[B, n, 2]`` holds this step's environment uniforms. Returns
+        ``(rewards[B, n], team[B], done[B])``.
+        """
         raise NotImplementedError
+
+    def greedy_action(self, state, agent):
+        S = np.asarray(state, dtype=np.float64)[None]
+        return int(self.greedy_actions(S)[0, agent])
+
+    def rollout_batch(self, S0, kinds, alphas, consts, act_u, env_u):
+        """Simulate a batch of episodes; see :func:`kernels.rollout`."""
+        return kernels.rollout(self, S0, kinds, alphas, consts, act_u, env_u)
+
+    def rollout(self, state0, horizon, kinds, alphas, consts, act_u, env_u):
+        """One episode: ``rollout_batch`` on a single row, ``length`` an int."""
+        states, actions, rewards, team, length = self.rollout_batch(
+            np.asarray(state0, dtype=np.float64)[None],
+            np.asarray(kinds)[None],
+            np.asarray(alphas)[None],
+            np.asarray(consts)[None],
+            np.asarray(act_u)[None, :horizon],
+            np.asarray(env_u)[None, :horizon],
+        )
+        return states[0], actions[0], rewards[0], team[0], int(length[0])
 
     def env_draws(self, rng, horizon):
         """Pre-draw environment noise for a rollout (empty unless needed)."""
@@ -69,23 +90,16 @@ class Environment:
                     f"action {a} out of range for {self.name} "
                     f"(0..{self.n_actions - 1})"
                 )
-        kinds, alphas, consts = _const_arrays(actions)
-        act_u = np.zeros((1, self.n_agents, 2))
         if self.uses_env_draws:
             if rng is None:
                 raise ConfigError(f"{self.name}.step needs an rng for arrivals")
             env_u = rng.random((1, self.n_agents, 2))
         else:
             env_u = np.zeros((1, self.n_agents, 2))
-        state0 = np.asarray(state, dtype=np.float64)
-        states, _, rewards, team, _ = self.rollout(
-            state0, 1, kinds, alphas, consts, act_u, env_u
-        )
-        ns = states[1]
-        return ns, rewards[0], float(team[0]), self._done(ns)
-
-    def _done(self, state):
-        return False
+        s = np.array(state, dtype=np.float64)[None]
+        a = np.asarray(actions, dtype=np.int64)[None]
+        rewards, team, done = self.transition(s, a, env_u)
+        return s[0], rewards[0], float(team[0]), bool(done[0])
 
 
 @dataclass(frozen=True)
@@ -161,22 +175,29 @@ class GridWorld(Environment):
             dtype=np.float64,
         )
 
-    def greedy_action(self, state, agent):
-        return int(kernels.gridworld_greedy(np.asarray(state, dtype=np.float64),
-                                            self.width, agent))
+    def greedy_actions(self, S):
+        # the move that ends nearest (L1) to the agent's own goal
+        xs, ys = grid_moves(S[:, 0:4:2], S[:, 1:4:2], 1.0, self.width - 1.0)
+        d = np.abs(xs - S[:, 4:8:2, None]) + np.abs(ys - S[:, 5:8:2, None])
+        return d.argmin(axis=-1)
 
-    def rollout(self, state0, horizon, kinds, alphas, consts, act_u, env_u):
+    def transition(self, s, a, env_u):
         c = self.config
-        return kernels.gridworld_rollout(
-            state0, self.width, horizon, c.step_cost, c.goal_reward,
-            c.team_bonus, kinds, alphas, consts, act_u,
-        )
+        xs, ys = grid_moves(s[:, 0:4:2], s[:, 1:4:2], 1.0, self.width - 1.0)
+        s[:, 0:4:2] = take(xs, a)
+        s[:, 1:4:2] = take(ys, a)
+        on_goal = (s[:, 0:4:2] == s[:, 4:8:2]) & (s[:, 1:4:2] == s[:, 5:8:2])
+        first = on_goal & (s[:, 8:10] == 0.0)
+        s[:, 8:10][first] = 1.0
+        rewards = np.where(first, -c.step_cost + c.goal_reward, -c.step_cost)
+        done = on_goal.all(axis=1)
+        team = rewards[:, 0] + rewards[:, 1]
+        return rewards, np.where(done, team + c.team_bonus, team), done
 
-    def _done(self, state):
-        return bool(
-            state[0] == state[4] and state[1] == state[5]
-            and state[2] == state[6] and state[3] == state[7]
-        )
+
+def _pow_hypot(dx, dy):
+    """``(dx ** 2 + dy ** 2) ** 0.5`` with C ``pow``, as Python's ``**`` rounds."""
+    return np.float_power(np.float_power(dx, 2) + np.float_power(dy, 2), 0.5)
 
 
 @dataclass(frozen=True)
@@ -219,11 +240,46 @@ class CoopNav(Environment):
     def initial_state(self, rng):
         return rng.random(12)
 
-    def greedy_action(self, state, agent):
-        return int(kernels.coopnav_greedy(np.asarray(state, dtype=np.float64), agent))
+    @staticmethod
+    def _offsets(S):
+        """Agent-minus-landmark ``(dx, dy)``, each ``[B, agent, landmark]``."""
+        return (
+            S[:, 0:6:2, None] - S[:, None, 6:12:2],
+            S[:, 1:6:2, None] - S[:, None, 7:12:2],
+        )
 
-    def rollout(self, state0, horizon, kinds, alphas, consts, act_u, env_u):
-        return kernels.coopnav_rollout(state0, horizon, kinds, alphas, consts, act_u)
+    def greedy_actions(self, S):
+        # head for the nearest landmark no other agent covers (within 0.1),
+        # or the nearest landmark at all when every one is covered
+        dx, dy = self._offsets(S)
+        covers = np.float_power(dx * dx + dy * dy, 0.5) < 0.1
+        by_other = covers.sum(axis=1, keepdims=True) - covers > 0
+        dist = _pow_hypot(dx, dy)
+        free = np.where(by_other, np.inf, dist)
+        target = np.where(
+            (~by_other).any(axis=-1), free.argmin(axis=-1), dist.argmin(axis=-1)
+        )
+        tx = take(S[:, None, 6:12:2], target)
+        ty = take(S[:, None, 7:12:2], target)
+        xs, ys = grid_moves(S[:, 0:6:2], S[:, 1:6:2], 0.1, 1.0)
+        return _pow_hypot(xs - tx[..., None], ys - ty[..., None]).argmin(axis=-1)
+
+    def transition(self, s, a, env_u):
+        xs, ys = grid_moves(s[:, 0:6:2], s[:, 1:6:2], 0.1, 1.0)
+        s[:, 0:6:2] = take(xs, a)
+        s[:, 1:6:2] = take(ys, a)
+        closest = _pow_hypot(*self._offsets(s)).min(axis=1)
+        cost = 0.0
+        for landmark in range(3):
+            cost = cost + closest[:, landmark]
+        collisions = 0
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            dx = s[:, 2 * i] - s[:, 2 * j]
+            dy = s[:, 2 * i + 1] - s[:, 2 * j + 1]
+            collisions = collisions + (np.float_power(dx * dx + dy * dy, 0.5) < 0.1)
+        team = -cost - 1.0 * collisions
+        rewards = np.repeat((team / 3.0)[:, None], 3, axis=1)
+        return rewards, team, np.zeros(len(s), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -270,22 +326,36 @@ class PredatorPrey(Environment):
         py = float(rng.integers(2, self.width - 2))
         return np.array([0.0, 0.0, w, w, px, py], dtype=np.float64)
 
-    def greedy_action(self, state, agent):
-        return int(kernels.predator_greedy(np.asarray(state, dtype=np.float64),
-                                           self.width, agent))
+    def greedy_actions(self, S):
+        # the move that ends nearest (L1) to the prey
+        xs, ys = grid_moves(S[:, 0:4:2], S[:, 1:4:2], 1.0, self.width - 1.0)
+        d = np.abs(xs - S[:, 4, None, None]) + np.abs(ys - S[:, 5, None, None])
+        return d.argmin(axis=-1)
 
-    def rollout(self, state0, horizon, kinds, alphas, consts, act_u, env_u):
+    def transition(self, s, a, env_u):
         c = self.config
-        return kernels.predator_rollout(
-            state0, self.width, horizon, c.step_cost, c.capture_reward,
-            c.collision_penalty, kinds, alphas, consts, act_u,
+        hi = self.width - 1.0
+        # prey evades first: maximise the minimum distance to the predators
+        qx, qy = grid_moves(s[:, 4], s[:, 5], 1.0, hi)
+        d0 = np.abs(qx - s[:, 0, None]) + np.abs(qy - s[:, 1, None])
+        d1 = np.abs(qx - s[:, 2, None]) + np.abs(qy - s[:, 3, None])
+        flee = np.minimum(d0, d1).argmax(axis=-1)
+        s[:, 4] = take(qx, flee)
+        s[:, 5] = take(qy, flee)
+        # predators move after the prey; capture means landing on it
+        xs, ys = grid_moves(s[:, 0:4:2], s[:, 1:4:2], 1.0, hi)
+        s[:, 0:4:2] = take(xs, a)
+        s[:, 1:4:2] = take(ys, a)
+        captured = ((s[:, 0] == s[:, 4]) & (s[:, 1] == s[:, 5])) | (
+            (s[:, 2] == s[:, 4]) & (s[:, 3] == s[:, 5])
         )
-
-    def _done(self, state):
-        return bool(
-            (state[0] == state[4] and state[1] == state[5])
-            or (state[2] == state[4] and state[3] == state[5])
-        )
+        # crowding: predators within L1 distance 2 get in each other's
+        # way, so each pays the collision penalty
+        crowded = np.abs(s[:, 0] - s[:, 2]) + np.abs(s[:, 1] - s[:, 3]) <= 2.0
+        r = np.full(len(s), -c.step_cost)
+        r = np.where(crowded, r - c.collision_penalty, r)
+        r = np.where(captured, r + c.capture_reward, r)
+        return np.stack([r, r], axis=1), r + r, captured
 
 
 @dataclass(frozen=True)
@@ -330,15 +400,26 @@ class Traffic(Environment):
     def initial_state(self, rng):
         return rng.integers(0, self.config.max_init_queue + 1, 6).astype(np.float64)
 
-    def greedy_action(self, state, agent):
-        return int(kernels.traffic_greedy(np.asarray(state, dtype=np.float64), agent))
+    def greedy_actions(self, S):
+        # green for the longer queue, NS on ties
+        return np.where(S[:, 0::2] >= S[:, 1::2], 0, 1)
 
-    def rollout(self, state0, horizon, kinds, alphas, consts, act_u, env_u):
+    def transition(self, s, a, env_u):
         c = self.config
-        return kernels.traffic_rollout(
-            state0, horizon, c.arrival_p, c.service, kinds, alphas, consts,
-            act_u, env_u,
-        )
+        queues = s.reshape(len(s), 3, 2)  # a view: rollouts pass contiguous s
+        green = take(queues, a)
+        departed = np.where(green < c.service, green, c.service)
+        np.put_along_axis(queues, a[..., None], (green - departed)[..., None], -1)
+        rewards = -(queues[:, :, 0] + queues[:, :, 1]) / 10.0
+        team = 0.0
+        for i in range(3):
+            team = team + rewards[:, i]
+        for lane in range(2):
+            arrive = env_u[:, :, lane] < c.arrival_p
+            queues[:, :, lane] = np.where(
+                arrive, queues[:, :, lane] + 1.0, queues[:, :, lane]
+            )
+        return rewards, team, np.zeros(len(s), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -369,13 +450,23 @@ class AdditiveLine(Environment):
     def initial_state(self, rng):
         return rng.integers(0, self.limit + 1, 2).astype(np.float64)
 
-    def greedy_action(self, state, agent):
-        return 3
+    def greedy_actions(self, S):
+        # always move right
+        return np.full((len(S), 2), 3, dtype=np.int64)
 
-    def rollout(self, state0, horizon, kinds, alphas, consts, act_u, env_u):
-        return kernels.additive_rollout(
-            state0, self.limit, horizon, kinds, alphas, consts, act_u
+    def transition(self, s, a, env_u):
+        right = a == 3
+        left = a == 2
+        rewards = np.where(right, 1.0, np.where(left, -1.0, 0.0))
+        s[:] = np.where(
+            right,
+            np.minimum(s + 1.0, self.limit),
+            np.where(left, np.maximum(s - 1.0, 0.0), s),
         )
+        team = 0.0
+        for i in range(2):
+            team = team + rewards[:, i]
+        return rewards, team, np.zeros(len(s), dtype=bool)
 
 
 _REGISTRY = {
@@ -412,11 +503,19 @@ def make_env(name, overrides: dict[str, Any] | None = None, horizon=None):
     kwargs = dict(overrides or {})
     if horizon is not None:
         kwargs["horizon"] = horizon
-    valid = {f.name for f in fields(config_cls)}
-    unknown = sorted(set(kwargs) - valid)
+    defaults = {f.name: f.default for f in fields(config_cls)}
+    unknown = sorted(set(kwargs) - set(defaults))
     if unknown:
         raise ConfigError(
             f"unknown {name} config keys: {', '.join(unknown)} "
-            f"(valid: {', '.join(sorted(valid))})"
+            f"(valid: {', '.join(sorted(defaults))})"
         )
+    for key, value in kwargs.items():
+        # every config field is an int or a float
+        if isinstance(defaults[key], int):
+            want, noun = numbers.Integral, "an integer"
+        else:
+            want, noun = numbers.Real, "a number"
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ConfigError(f"{name} config {key} must be {noun}, got {value!r}")
     return cls(config_cls(**kwargs))

@@ -1,9 +1,10 @@
 """Agent policies used by the built-in simulators.
 
-A policy is described to the rollout kernels by three scalars per agent:
-a kind (0 skill-mix, 1 uniform, 2 constant), a greedy probability, and a
-fixed action. ``choose_action`` restates the selection rule in Python for
-callers that want a single decision outside a rollout.
+A policy is described to a rollout by three scalars per agent: a kind
+(0 skill-mix, 1 uniform, 2 constant), a greedy probability, and a fixed
+action. ``select_actions`` is the one statement of how those scalars and
+two uniforms pick an action; rollouts apply it to whole batches and
+``choose_action`` to a single decision.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def default_policies(n_agents, alphas=None):
 
 
 def policy_arrays(policies):
-    """Pack policies into the (kinds, alphas, consts) arrays kernels expect."""
+    """Pack policies into the (kinds, alphas, consts) arrays rollouts expect."""
     n = len(policies)
     kinds = np.zeros(n, dtype=np.int64)
     alphas = np.zeros(n)
@@ -87,14 +88,28 @@ def policy_arrays(policies):
     return kinds, alphas, consts
 
 
+def select_actions(kinds, alphas, consts, greedy, u, n_actions):
+    """Actions picked by policy specs from two uniforms each.
+
+    Constant policies play ``consts``; skill policies play ``greedy`` when
+    ``u[..., 0] < alphas``; every other case plays the uniform slot
+    ``int(u[..., 1] * n_actions)``. All arguments share the leading shape
+    of ``kinds``; ``u`` adds a last axis of two.
+    """
+    uniform = (u[..., 1] * n_actions).astype(np.int64)
+    skilled = (kinds == KIND_SKILL) & (u[..., 0] < alphas)
+    return np.where(
+        kinds == KIND_CONSTANT, consts, np.where(skilled, greedy, uniform)
+    )
+
+
 def choose_action(policy, env, state, agent, u1, u2):
-    """One action draw from two uniforms; mirrors the in-kernel rule."""
-    if policy.kind == KIND_CONSTANT:
-        if policy.action >= env.n_actions:
-            raise ConfigError(
-                f"constant action {policy.action} out of range for {env.name}"
-            )
-        return policy.action
-    if policy.kind == KIND_SKILL and u1 < policy.alpha:
-        return env.greedy_action(state, agent)
-    return int(u2 * env.n_actions)
+    """One action draw from two uniforms, by the rule a rollout applies."""
+    if policy.kind == KIND_CONSTANT and policy.action >= env.n_actions:
+        raise ConfigError(
+            f"constant action {policy.action} out of range for {env.name}"
+        )
+    kinds, alphas, consts = policy_arrays([policy])
+    greedy = np.array([env.greedy_action(state, agent)])
+    u = np.array([[u1, u2]], dtype=np.float64)
+    return int(select_actions(kinds, alphas, consts, greedy, u, env.n_actions)[0])

@@ -19,6 +19,7 @@ matter how many worker threads run the replays.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel
 from .attribution import (
     EXACT_SHAPLEY_LIMIT,
     BootstrapResult,
@@ -105,6 +105,8 @@ KNOWN_REPORT_KEYS = {
     "timings_ns",
     "traces",
 }
+# present only for the Shapley methods
+OPTIONAL_REPORT_KEYS = {"efficiency"}
 
 PLOTDATA_LABELS = {
     # env_resim screens the inter-agent graph only; scm_rollout fits every equation
@@ -150,6 +152,19 @@ def resolve_threads(explicit=None):
     return value
 
 
+_STR_FIELDS = ("env", "method", "model", "mode", "verbosity", "outcome")
+_INT_FIELDS = ("episodes", "horizon", "k", "m", "b", "seed", "threads", "ii_bins")
+_REAL_FIELDS = ("alpha", "epsilon_frac", "tau_synergy", "tau_si", "corr_threshold")
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     env: str = "gridworld"
@@ -175,6 +190,18 @@ class RunConfig:
     corr_threshold: float = DEFAULT_CORR_THRESHOLD
 
     def validate(self):
+        for name in _STR_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(
                 f"unknown method {self.method!r}; choose from {', '.join(METHODS)}"
@@ -208,7 +235,7 @@ class RunConfig:
         if self.episodes is not None and self.episodes < 1:
             raise ConfigError(f"episodes must be >= 1, got {self.episodes}")
         for i, a in self.alphas.items():
-            if not 0.0 <= a <= 1.0:
+            if not _is_real(a) or not 0.0 <= a <= 1.0:
                 raise ConfigError(f"alpha for agent {i} must be in [0, 1], got {a}")
         return self
 
@@ -302,7 +329,7 @@ def run_pipeline(config: RunConfig, history: History | None = None):
         ):
             # coalition replays are interventional rollouts too; running
             # them here leaves the later steps as arithmetic on cached values
-            values.precompute(mapper)
+            values.precompute()
         timings["2"] = time.perf_counter_ns() - t0
 
         t0 = time.perf_counter_ns()
@@ -445,7 +472,10 @@ def write_report(report, path):
 
 def read_report(path):
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MacieError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or data.get("format") != REPORT_FORMAT:
         raise MacieError(f"{path} is not an attribution report")
     if data.get("version") != REPORT_VERSION:
@@ -455,6 +485,9 @@ def read_report(path):
         raise MacieError(
             f"report has unknown fields: {', '.join(unknown)}"
         )
+    missing = sorted(KNOWN_REPORT_KEYS - OPTIONAL_REPORT_KEYS - set(data))
+    if missing:
+        raise MacieError(f"report lacks fields: {', '.join(missing)}")
     return data
 
 
@@ -553,7 +586,12 @@ def explanation_from_report(report, verbosity=None):
 
 
 def warmup(env_names=None):
-    """Run every kernel once on tiny inputs so compilation happens up front."""
+    """Run each environment's rollout and a tiny tree fit once.
+
+    A timed run then starts warm: first-call costs (lazy imports, numpy
+    dispatch, numba compilation of the tree kernels when numba is present)
+    are paid here.
+    """
     rng = np.random.default_rng(0)
     for name in env_names or list_envs():
         env = make_env(name)
@@ -562,44 +600,8 @@ def warmup(env_names=None):
         act_u = rng.random((2, env.n_agents, 2))
         env_u = env.env_draws(rng, 2)
         env.rollout(s0, 2, kinds, alphas, consts, act_u, env_u)
-        env.greedy_action(s0, 0)
     X = rng.random((20, 3))
     TreeEnsemble(n_trees=2, max_depth=2).fit(X, rng.random(20), rng).predict(X)
-
-
-def bench_rollouts(n_rollouts=200, seed=0):
-    """Episode throughput per environment for both execution paths."""
-    rows = []
-    for name in list_envs():
-        env = make_env(name)
-        rng = np.random.default_rng(seed)
-        s0 = env.initial_state(rng)
-        kinds, alphas, consts = policy_arrays(default_policies(env.n_agents))
-        act_u = rng.random((env.horizon, env.n_agents, 2))
-        env_u = env.env_draws(rng, env.horizon)
-
-        def run_batch():
-            t0 = time.perf_counter()
-            for _ in range(n_rollouts):
-                env.rollout(s0, env.horizon, kinds, alphas, consts, act_u, env_u)
-            return time.perf_counter() - t0
-
-        row = {"env": name, "rollouts": n_rollouts}
-        if _accel.HAVE_NUMBA:
-            _accel.set_enabled(True)
-            run_batch()  # compile before timing
-            row["accel_s"] = run_batch()
-        else:
-            row["accel_s"] = None
-        _accel.set_enabled(False)
-        row["python_s"] = run_batch()
-        if _accel.HAVE_NUMBA:
-            _accel.set_enabled(True)
-            row["speedup"] = row["python_s"] / row["accel_s"]
-        else:
-            row["speedup"] = None
-        rows.append(row)
-    return rows
 
 
 def bench_k_convergence(ks=(3, 5, 10, 20), seed=42, env="gridworld", b=100):

@@ -4,6 +4,7 @@ from macie import warmup
 
 
 @pytest.fixture(scope="session", autouse=True)
-def compiled_kernels():
-    # compile accelerated kernels once so timed tests measure steady state
+def warm_start():
+    # pay first-call costs (and numba compilation of the tree kernels, when
+    # numba is present) once, so timed tests measure steady state
     warmup()

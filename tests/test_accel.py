@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from macie import _accel
-from macie.envs import list_envs, make_env
-from macie.policies import default_policies, policy_arrays
 from macie.report import RunConfig, run_pipeline
 from macie.trees import TreeEnsemble
 
 
-# each comparison below runs the compiled path, which only exists with numba
+# each comparison below runs the compiled tree path, which only exists with numba
 needs_numba = pytest.mark.skipif(
     not _accel.HAVE_NUMBA, reason="numba is not installed"
 )
@@ -56,34 +54,6 @@ def test_set_enabled_round_trip():
     finally:
         _accel.set_enabled(before)
     assert _accel.enabled() is before
-
-
-def rollout_everything():
-    out = {}
-    for name in list_envs():
-        env = make_env(name)
-        rng = np.random.default_rng(11)
-        s0 = env.initial_state(rng)
-        kinds, alphas, consts = policy_arrays(default_policies(env.n_agents))
-        act_u = rng.random((env.horizon, env.n_agents, 2))
-        env_u = env.env_draws(rng, env.horizon)
-        out[name] = env.rollout(s0, env.horizon, kinds, alphas, consts, act_u, env_u)
-    return out
-
-
-@needs_numba
-def test_python_path_is_bit_identical_for_rollouts(force_python):
-    plain = rollout_everything()
-    _accel.set_enabled(True)
-    compiled = rollout_everything()
-    for name in plain:
-        p_states, p_actions, p_rewards, p_team, p_len = plain[name]
-        c_states, c_actions, c_rewards, c_team, c_len = compiled[name]
-        assert p_len == c_len
-        assert np.array_equal(p_states, c_states)
-        assert np.array_equal(p_actions, c_actions)
-        assert np.array_equal(p_rewards, c_rewards)
-        assert np.array_equal(p_team, c_team)
 
 
 @needs_numba

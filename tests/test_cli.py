@@ -93,6 +93,66 @@ def test_ingest_missing_or_corrupt_log_returns_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _gridworld_log(path, episodes=3):
+    env = make_env("gridworld")
+    eng = CounterfactualEngine(
+        SeedTree(3), OutcomeSpec(), env=env, policies=default_policies(2)
+    )
+    write_log(eng.generate_history(episodes), path)
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "line, corrupt",
+    [
+        (3, lambda text: text.replace("\t", "\tx,", 1)),  # non-numeric state
+        (1, lambda text: text.replace("\tn_agents=2", "")),  # header field gone
+        (4, lambda text: "garbage"),  # record without tabs
+    ],
+    ids=["non_numeric_state", "header_without_n_agents", "record_without_tabs"],
+)
+def test_malformed_log_names_the_line(tmp_path, capsys, line, corrupt):
+    path = tmp_path / "episodes.log"
+    lines = _gridworld_log(path)
+    lines[line - 1] = corrupt(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["ingest", "--log", str(path)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert f"line {line}:" in err
+
+
+def test_explain_rejects_malformed_reports(tmp_path, capsys):
+    not_json = tmp_path / "truncated.json"
+    not_json.write_text('{"format": "macie-report", ')
+    assert main(["explain", "--report", str(not_json)]) == 3
+    assert "not valid JSON" in capsys.readouterr().err
+
+    report_path = tmp_path / "report.json"
+    assert main(
+        ["run", "--env", "gridworld", *RUN_ARGS, "--out", str(report_path)]
+    ) == 0
+    report = json.loads(report_path.read_text())
+    del report["ci"]
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["explain", "--report", str(report_path)]) == 3
+    assert "report lacks fields: ci" in capsys.readouterr().err
+
+
+def test_config_value_of_wrong_type_returns_2(tmp_path, capsys):
+    for key, value, message in [
+        ("cf.k", "abc", "k must be an integer"),
+        ("env", ["gridworld"], "env must be a string"),
+        ("attr.alpha", "0.1", "alpha must be a number"),
+        ("env.width", "abc", "width must be an integer"),
+    ]:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_explain_rerenders_a_stored_report(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     assert main(
@@ -116,14 +176,6 @@ def test_explain_rejects_non_reports(tmp_path, capsys):
 def test_bench_needs_a_selection(capsys):
     assert main(["bench"]) == 2
     assert "choose a benchmark" in capsys.readouterr().err
-
-
-def test_bench_compare_accel(capsys):
-    assert main(["bench", "--compare-accel"]) == 0
-    out = capsys.readouterr().out
-    assert "rollout throughput" in out
-    for name in list_envs():
-        assert name in out
 
 
 def test_config_file_with_flag_precedence(tmp_path, capsys):

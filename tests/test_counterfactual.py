@@ -130,6 +130,20 @@ def test_agent_cf_shapes_and_samples():
     assert cf.y_fact == eng.factual_outcome(0)
 
 
+@pytest.mark.parametrize("env_name", ["gridworld", "traffic"])
+def test_intervention_batch_matches_single_episodes(env_name):
+    # one replay batch over episodes gives each episode the replays it gets
+    # on a fresh engine alone
+    batch = make_engine(seed=4, env_name=env_name).interventions(1, range(5), 3)
+    for e, agent_cf in enumerate(batch):
+        alone = make_engine(seed=4, env_name=env_name).intervene_and_rollout(e, 1, 3)
+        assert agent_cf.y_cf_mean == alone.y_cf_mean
+        assert agent_cf.critical == alone.critical
+        for x, y in zip(agent_cf.samples, alone.samples):
+            assert x.y_cf == y.y_cf
+            assert np.array_equal(x.trace, y.trace)
+
+
 def test_intervention_validation():
     eng = make_engine()
     with pytest.raises(ConfigError, match="out of range"):

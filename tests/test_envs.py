@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from macie import (
     make_env,
 )
 from macie.envs import GridWorld, GridWorldConfig
-from macie.policies import BaselinePolicy, policy_arrays
+from macie.policies import BaselinePolicy
 
 
 def rollout(env, state0, horizon, kinds, alphas, seed=0):
@@ -72,6 +74,71 @@ def test_rollouts_are_deterministic(name):
     b = rollout(env, s0, env.horizon, kinds, alphas, seed=11)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("name", ["additive", "coopnav", "gridworld", "predatorprey", "traffic"])
+def test_mixed_batch_matches_each_row_alone(name):
+    # one batch mixing skill, uniform and constant policies and different
+    # draws gives every row exactly the trajectory it has on its own
+    env = make_env(name, horizon=40)
+    rng = np.random.default_rng(17)
+    B, n, T = 60, env.n_agents, env.horizon
+    S0 = np.array([env.initial_state(rng) for _ in range(B)])
+    kinds = np.arange(B * n).reshape(B, n) % 3
+    alphas = rng.random((B, n))
+    kinds[:10], alphas[:10] = 0, 1.0  # fully greedy gridworld teams finish early
+    consts = rng.integers(0, env.n_actions, (B, n))
+    if name == "predatorprey":
+        # a boxed-in prey is caught on the first step by these two moves
+        S0[10:15] = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+        kinds[10:15], consts[10:15] = 2, [2, 1]
+    act_u = rng.random((B, T, n, 2))
+    env_u = rng.random((B, T, n, 2))
+    batch = env.rollout_batch(S0, kinds, alphas, consts, act_u, env_u)
+    length = batch[4]
+    if name in ("gridworld", "predatorprey"):
+        assert (length < T).any() and (length == T).any()
+    for b in range(B):
+        alone = env.rollout(
+            S0[b], T, kinds[b], alphas[b], consts[b], act_u[b], env_u[b]
+        )
+        for x, y in zip(batch, alone):
+            assert np.array_equal(x[b], y)
+        assert alone[4] == length[b]
+        assert not alone[3][length[b]:].any()
+
+
+# sha256 of rollout outputs on fixed random inputs, recorded from the scalar
+# per-episode kernels the batched rollouts replaced. Small reports can hide
+# a last-bit change (np.sqrt for a C pow, say); these raw outputs cannot.
+GOLDEN_ROLLOUTS = {
+    "additive": "3ae78a1e045a4e3c53d95676afa844a7939d1f6db5fadcabb42b538210fe8b15",
+    "coopnav": "da2e9f0b73a18a501b1be784063682c3d6e98fd4aea63dda06f6292ef4d3fd68",
+    "gridworld": "a7dca4a8dba8c9abfa6ac151ee9cc48f47b1de42e71635fb69c5ea89ddcb52fd",
+    "predatorprey": "3fb38958c19fd226af55735e808d95ce92f483b9b4602d733f775b6689aecacf",
+    "traffic": "aade4927c762b6d7c66623ab2eb7fdbea610b4c8832039abebb7f1bbfc47c61e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROLLOUTS))
+def test_rollouts_match_golden_digests(name):
+    env = make_env(name, horizon=40)
+    rng = np.random.default_rng(123)
+    B, n, T = 300, env.n_agents, env.horizon
+    S0 = np.array([env.initial_state(rng) for _ in range(B)])
+    if name == "coopnav":
+        # positions on the 0.1 move grid give distance ties and covered landmarks
+        S0[: B // 3] = np.round(S0[: B // 3], 1)
+    kinds = rng.integers(0, 3, (B, n))
+    alphas = rng.random((B, n))
+    consts = rng.integers(0, env.n_actions, (B, n))
+    act_u = rng.random((B, T, n, 2))
+    env_u = rng.random((B, T, n, 2))
+    outputs = env.rollout_batch(S0, kinds, alphas, consts, act_u, env_u)
+    digest = hashlib.sha256()
+    for x, dtype in zip(outputs, (np.float64, np.int64, np.float64, np.float64, np.int64)):
+        digest.update(np.ascontiguousarray(x, dtype=dtype).tobytes())
+    assert digest.hexdigest() == GOLDEN_ROLLOUTS[name]
 
 
 @pytest.mark.parametrize("name", ["additive", "coopnav", "gridworld", "predatorprey"])
@@ -158,15 +225,15 @@ def test_gridworld_cooperation_beats_any_single_agent():
 def test_gridworld_bonus_rate_drops_under_intervention():
     env = make_env("gridworld")
     pols = default_policies(2)
-    eng = CounterfactualEngine(
-        SeedTree(42), OutcomeSpec(), env=env, policies=pols
-    )
     base = BaselinePolicy()
 
     def bonus_rate(policy_list, episodes):
+        # factual episodes under policy_list, on the seed-42 streams
+        eng = CounterfactualEngine(
+            SeedTree(42), OutcomeSpec(), env=env, policies=policy_list
+        )
         hits = 0
-        for e in range(episodes):
-            ep = eng._simulate(e, policy_list, [0] * 2, 0)
+        for ep in eng.factuals(range(episodes)):
             hits += any(s.team_reward > 3 for s in ep.steps)
         return hits / episodes
 

@@ -1,9 +1,12 @@
+import collections
 import copy
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import macie.rng
 from macie.core import ConfigError, MacieError, read_log, write_log
 from macie.report import (
     DEFAULT_EPISODES,
@@ -12,7 +15,6 @@ from macie.report import (
     REPORT_VERSION,
     RunConfig,
     bench_k_convergence,
-    bench_rollouts,
     default_permutations,
     explanation_from_report,
     read_report,
@@ -196,6 +198,59 @@ def test_env_resim_needs_no_fitted_model():
         run_pipeline(small_config(episodes=5, mode="scm_rollout"))
 
 
+# Canonical sha256 of one small report per env, recorded from the scalar
+# per-episode rollouts that the batched ones replaced; any drift in the
+# simulators, the replay batches or the stream draws changes them.
+GOLDEN_REPORTS = {
+    "additive": "b72c203f27c9d16e8ab70a2bb0cb94005d9aebfc3bf4928df52bc387301ce564",
+    "coopnav": "a78b74d7fb004241c223025e0af999a4c5340060355f017df33e8cc485d76c31",
+    "gridworld": "368edd360aa222ee6eb85873aa17523ffc131f5dd1f120e0644e31b5d6523908",
+    "predatorprey": "86bab9a2704ed1a12500d39822b48d06d8a9c92a8cffa2fcb75264cd3d130078",
+    "traffic": "566a3c7ccf7b9649cf218024573267550047796628f16a59cb38a373902848ff",
+    # episodes that end early decide this outcome
+    "gridworld/terminal_success_indicator": (
+        "f0a54de4cff524f9f4ff8752489ee02d49dcdd08dbc21bc04024a8356087b519"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
+def test_reports_match_golden_digests(case):
+    env_name, _, outcome = case.partition("/")
+    config = RunConfig(
+        env=env_name, episodes=6, k=3, b=20, method="shapley_exact", seed=42
+    )
+    config.outcome = outcome or config.outcome
+    report = run_pipeline(config)
+    report.pop("timings_ns")
+    blob = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == GOLDEN_REPORTS[case]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(env="traffic", method="shapley_exact", threads=2),
+        dict(env="gridworld", mode="scm_rollout", model="linear"),
+    ],
+    ids=["traffic_env_resim", "gridworld_scm_rollout"],
+)
+def test_pipeline_derives_each_stream_once(monkeypatch, overrides):
+    counts = collections.Counter()
+    derive = macie.rng.derive_stream
+
+    def counting(seed_tree, tag, indices):
+        counts[(tag, *indices)] += 1
+        return derive(seed_tree, tag, indices)
+
+    monkeypatch.setattr(macie.rng, "derive_stream", counting)
+    report = run_pipeline(small_config(episodes=12, k=3, **overrides))
+    assert max(counts.values()) == 1
+    # each episode's start, and every agent's actions at every replicate
+    assert sum(key[0] == "reset" for key in counts) == 12
+    assert sum(key[0] == "act" for key in counts) == 12 * report["n_agents"] * 3
+
+
 # -- ingested logs ------------------------------------------------------------------
 
 
@@ -309,12 +364,3 @@ def test_k_convergence_rows():
     for r in rows:
         assert len(r["se"]) == 2
         assert r["mean_se"] == pytest.approx(float(np.mean(r["se"])))
-
-
-def test_rollout_benchmark_rows():
-    rows = bench_rollouts(n_rollouts=3, seed=0)
-    assert [r["env"] for r in rows] == sorted(r["env"] for r in rows)
-    for r in rows:
-        assert r["python_s"] > 0
-        if r["accel_s"] is not None:
-            assert r["speedup"] == pytest.approx(r["python_s"] / r["accel_s"])
