@@ -19,13 +19,17 @@ Two propagation modes: ``env_resim`` replays through the real simulator;
 ``scm_rollout`` replays through the fitted structural model, which also
 works for ingested histories with no simulator attached.
 
-In ``env_resim`` every simulation goes through one batch builder: the
-factual episodes run as one batch, the replays of each intervened agent as
-one batch over (episode, sample), and the coalitions as one batch over
-(episode, coalition). Replay batches run in chunks of ``REPLAY_CHUNK``
-rows. Each stream is derived once per run: the ones several rows read are
-kept on the engine, and a later replicate of one agent's actions, which
-only its own replay reads, is drawn where it is used.
+A replay is a row ``(episode, baseline agents, agent reps, env rep)``. The
+replays of each intervened agent form one list of rows over (episode,
+sample), and the coalitions one over (episode, coalition); both modes run
+such a list in chunks of ``REPLAY_CHUNK`` rows. ``env_resim`` simulates a
+chunk as one batched rollout, the factual episodes too. ``scm_rollout``
+steps a chunk through the structural model with one prediction per node
+and step: each row starts from its factual episode's first state, the
+baseline agents draw uniform actions and the model predicts the others.
+Each stream is derived once per run: the ones several rows read are kept on
+the engine, and a later replicate of one agent's actions, which only its
+own replay reads, is drawn where it is used.
 """
 
 from __future__ import annotations
@@ -255,7 +259,11 @@ class CounterfactualEngine:
         """``(trace, outcome)`` of each replayed row, without building steps."""
         out = []
         for start in range(0, len(rows), REPLAY_CHUNK):
-            _, _, _, team, length = self._replay(rows[start : start + REPLAY_CHUNK])
+            chunk = rows[start : start + REPLAY_CHUNK]
+            if self.mode == "scm_rollout":
+                out.extend(self._scm_outcomes(chunk))
+                continue
+            _, _, _, team, length = self._replay(chunk)
             for b in range(len(length)):
                 rewards = team[b, : length[b]].tolist()
                 out.append(
@@ -265,6 +273,42 @@ class CounterfactualEngine:
                     )
                 )
         return out
+
+    def _scm_outcomes(self, rows):
+        """``(trace, outcome)`` of rows replayed through the structural model.
+
+        A row starts from its factual episode's first state and joint action
+        and runs to the horizon. Agent ``j`` named in the row acts uniformly
+        at random from its replicate ``reps[j]``; the model predicts every
+        other action, the next state and the reward. The trace is the running
+        reward sum and the outcome the model's ``y`` of the total.
+        """
+        scm = self.scm
+        if scm is None:
+            raise MacieError("scm_rollout mode needs a fitted structural model")
+        T, n, B = self.horizon, self.n_agents, len(rows)
+        facts = self.factuals([e for e, *_ in rows])
+        S = np.array([f.steps[0].state for f in facts], dtype=np.float64)
+        PA = np.array([f.steps[0].joint_action for f in facts], dtype=np.int64)
+        uniform = np.zeros((B, n), dtype=bool)
+        u = np.zeros((B, T, n))
+        for b, (e, swapped, reps, _) in enumerate(rows):
+            for j in swapped:
+                uniform[b, j] = True
+                u[b, :, j] = self._act_draws(e, j, reps[j])[:, 1]
+        drawn = (u * scm.n_actions).astype(np.int64)
+        rewards = np.empty((B, T))
+        for t in range(T):
+            A = drawn[:, t].copy()
+            for j in range(n):
+                free = ~uniform[:, j]
+                if free.any():
+                    A[free, j] = scm.predict_action(j, S[free], PA[free])
+            NS = scm.predict_next_state(S, A)
+            rewards[:, t] = scm.predict_reward(A, NS)
+            S, PA = NS, A
+        y = scm.predict_outcome([r.sum() for r in rewards])
+        return [(np.cumsum(r), float(v)) for r, v in zip(rewards, y)]
 
     # -- counterfactuals -----------------------------------------------------------
 
@@ -283,20 +327,13 @@ class CounterfactualEngine:
             raise ConfigError(f"need at least one sample, got {n_samples}")
         episodes = list(episodes)
         facts = self.factuals(episodes)
-        if self.mode == "env_resim":
-            rows = []
-            for e in episodes:
-                for k in range(n_samples):
-                    reps = [0] * self.n_agents
-                    reps[agent] = k
-                    rows.append((e, (agent,), reps, k))
-            replays = self._replay_outcomes(rows)
-        else:
-            replays = [
-                self._cf_scm(e, agent, k)
-                for e in episodes
-                for k in range(n_samples)
-            ]
+        rows = []
+        for e in episodes:
+            for k in range(n_samples):
+                reps = [0] * self.n_agents
+                reps[agent] = k
+                rows.append((e, (agent,), reps, k))
+        replays = self._replay_outcomes(rows)
         out = []
         for i, fact in enumerate(facts):
             y_fact = episode_outcome(fact, self.outcome)
@@ -335,7 +372,7 @@ class CounterfactualEngine:
     def coalition_outcomes(self, pairs):
         """``coalition_outcome`` of each (episode, members) pair.
 
-        Pairs not yet cached run as one replay batch in ``env_resim``.
+        Pairs not yet cached replay as one list of rows.
         """
         keys = [(e, tuple(sorted(members))) for e, members in pairs]
         missing = [k for k in dict.fromkeys(keys) if k not in self._coalitions]
@@ -343,52 +380,11 @@ class CounterfactualEngine:
             bad = [i for i in members if not 0 <= i < self.n_agents]
             if bad:
                 raise ConfigError(f"coalition members out of range: {bad}")
-        if missing and self.mode == "env_resim":
-            n = self.n_agents
-            rows = [
-                (e, [j for j in range(n) if j not in members], (0,) * n, 0)
-                for e, members in missing
-            ]
-            for key, (_, y) in zip(missing, self._replay_outcomes(rows)):
-                self._coalitions[key] = y
-        else:
-            for e, members in missing:
-                self._coalitions[(e, members)] = self._coalition_scm(e, set(members))
-        return [self._coalitions[k] for k in keys]
-
-    # -- structural-model propagation ------------------------------------------------
-
-    def _scm_steps(self, e, uniform_agents, k):
-        """Roll the fitted model forward; listed agents draw uniform actions."""
-        scm = self.scm
-        if scm is None:
-            raise MacieError("scm_rollout mode needs a fitted structural model")
-        fact = self.factual(e)
-        T = fact.horizon
         n = self.n_agents
-        draws = {j: self._act_draws(e, j, k) for j in uniform_agents}
-        s = np.asarray(fact.steps[0].state, dtype=np.float64)
-        prev_a = np.asarray(fact.steps[0].joint_action, dtype=np.int64)
-        rewards = np.zeros(T)
-        for t in range(T):
-            a = np.empty(n, dtype=np.int64)
-            for j in range(n):
-                if j in uniform_agents:
-                    a[j] = int(draws[j][t, 1] * scm.n_actions)
-                else:
-                    a[j] = scm.predict_action(j, s, prev_a)
-            ns = scm.predict_next_state(s, a)
-            rewards[t] = scm.predict_reward(a, ns)
-            s = ns
-            prev_a = a
-        return rewards
-
-    def _cf_scm(self, e, agent, k):
-        rewards = self._scm_steps(e, {agent}, k)
-        y_cf = self.scm.predict_outcome(float(rewards.sum()))
-        return np.cumsum(rewards), y_cf
-
-    def _coalition_scm(self, e, members):
-        outsiders = {j for j in range(self.n_agents) if j not in members}
-        rewards = self._scm_steps(e, outsiders, 0)
-        return self.scm.predict_outcome(float(rewards.sum()))
+        rows = [
+            (e, [j for j in range(n) if j not in members], (0,) * n, 0)
+            for e, members in missing
+        ]
+        for key, (_, y) in zip(missing, self._replay_outcomes(rows)):
+            self._coalitions[key] = y
+        return [self._coalitions[k] for k in keys]

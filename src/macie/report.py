@@ -107,6 +107,12 @@ KNOWN_REPORT_KEYS = {
 }
 # present only for the Shapley methods
 OPTIONAL_REPORT_KEYS = {"efficiency"}
+# fields of the nested blocks that re-rendering an explanation reads
+REPORT_BLOCK_KEYS = {
+    "ci": ("lows", "highs", "se", "alpha"),
+    "emergence": ("synergy", "si", "cs", "ii", "ii_pairs"),
+    "config": ("verbosity", "tau_synergy", "tau_si", "alpha"),
+}
 
 PLOTDATA_LABELS = {
     # env_resim screens the inter-agent graph only; scm_rollout fits every equation
@@ -488,6 +494,12 @@ def read_report(path):
     missing = sorted(KNOWN_REPORT_KEYS - OPTIONAL_REPORT_KEYS - set(data))
     if missing:
         raise MacieError(f"report lacks fields: {', '.join(missing)}")
+    for block, keys in REPORT_BLOCK_KEYS.items():
+        if not isinstance(data[block], dict):
+            raise MacieError(f"report field {block} is not an object")
+        lacking = [k for k in keys if k not in data[block]]
+        if lacking:
+            raise MacieError(f"report field {block} lacks: {', '.join(lacking)}")
     return data
 
 
@@ -589,8 +601,7 @@ def warmup(env_names=None):
     """Run each environment's rollout and a tiny tree fit once.
 
     A timed run then starts warm: first-call costs (lazy imports, numpy
-    dispatch, numba compilation of the tree kernels when numba is present)
-    are paid here.
+    dispatch) are paid here.
     """
     rng = np.random.default_rng(0)
     for name in env_names or list_envs():

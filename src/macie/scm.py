@@ -16,6 +16,10 @@ Each non-exogenous node gets its own fitted equation. Action nodes are
 discrete and are fitted as one score regression per action value with
 argmax prediction (ties to the lowest action); ``y`` is always a linear fit
 on the per-episode reward sum. Everything serialises to versioned JSON.
+
+Prediction works on row batches (states ``S[B,D]``, joint actions
+``A[B,n]``), and each row gets the same value alone as in any batch, so a
+batched replay reproduces replays made one episode at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .trees import TreeEnsemble
 
 MIN_SAMPLES = 10
 DEFAULT_CORR_THRESHOLD = 0.1
-MODEL_NAMES = ("constant_mean", "linear", "tree_ensemble")
 
 
 def _pearson(x, y):
@@ -66,7 +69,10 @@ class Linear:
 
     def predict(self, X):
         A = np.column_stack([np.ones(X.shape[0]), X])
-        return A @ self.coef
+        # B one-row products, not one (B, k) @ (k,) product: the latter may
+        # sum a row in another order, so a row would predict differently
+        # alone than in a batch
+        return (A[:, None, :] @ self.coef)[:, 0]
 
     def to_dict(self):
         return {"kind": "linear", "coef": self.coef.tolist()}
@@ -78,21 +84,24 @@ class Linear:
         return model
 
 
-def _make_model(name, rng):
-    if name == "constant_mean":
-        return ConstantMean()
-    if name == "linear":
-        return Linear()
-    if name == "tree_ensemble":
-        return TreeEnsemble()
-    raise ConfigError(f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}")
+MODELS = {
+    "constant_mean": ConstantMean,
+    "linear": Linear,
+    "tree_ensemble": TreeEnsemble,
+}
+MODEL_NAMES = tuple(MODELS)
+
+
+def _check_model_name(name):
+    if name not in MODELS:
+        raise ConfigError(
+            f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}"
+        )
 
 
 def _fit_model(name, X, y, rng):
-    model = _make_model(name, rng)
-    if isinstance(model, TreeEnsemble):
-        return model.fit(X, y, rng)
-    return model.fit(X, y, rng)
+    _check_model_name(name)
+    return MODELS[name]().fit(X, y, rng)
 
 
 def _model_to_dict(model):
@@ -103,13 +112,9 @@ def _model_to_dict(model):
 
 def _model_from_dict(data):
     kind = data["kind"]
-    if kind == "constant_mean":
-        return ConstantMean.from_dict(data)
-    if kind == "linear":
-        return Linear.from_dict(data)
-    if kind == "tree_ensemble":
-        return TreeEnsemble.from_dict(data)
-    raise MacieError(f"unknown serialized model kind {kind!r}")
+    if kind not in MODELS:
+        raise MacieError(f"unknown serialized model kind {kind!r}")
+    return MODELS[kind].from_dict(data)
 
 
 class ContinuousEquation:
@@ -292,43 +297,33 @@ class StructuralCausalModel:
         order (actions, next states, reward, outcome), so a given rng state
         always yields the same fit.
         """
-        if model not in MODEL_NAMES:
-            raise ConfigError(
-                f"unknown model {model!r}; choose from {', '.join(MODEL_NAMES)}"
-            )
+        _check_model_name(model)
         if rng is None:
             rng = np.random.default_rng(0)
         S, PA, A, NS, R = self.screen(history, corr_threshold)
-        n = S.shape[0]
         self.model_name = model
+        blocks = {"s": S, "prev_a": PA, "a": A, "ns": NS}
+        n = S.shape[0]
+        for node, target in self._targets(A, NS, R).items():
+            if n < MIN_SAMPLES:
+                raise MacieError(
+                    f"too few samples to fit node {node}: {n} < {MIN_SAMPLES}"
+                )
+            X = self._design(node, blocks)
+            if node.startswith("a"):
+                values = list(range(self.n_actions))
+                models = [
+                    _fit_model(model, X, (target == v).astype(np.float64), rng)
+                    for v in values
+                ]
+                eq = DiscreteEquation(self.parents[node], values, models)
+            else:
+                eq = ContinuousEquation(
+                    self.parents[node], _fit_model(model, X, target, rng)
+                )
+            self.equations[node] = eq
 
-        columns = {f"s{f}": S[:, f] for f in range(self.n_features)}
-        columns.update(
-            {f"prev_a{i}": PA[:, i].astype(np.float64) for i in range(self.n_agents)}
-        )
-        columns.update(
-            {f"a{i}": A[:, i].astype(np.float64) for i in range(self.n_agents)}
-        )
-        columns.update({f"ns{f}": NS[:, f] for f in range(self.n_features)})
-
-        for j in range(self.n_agents):
-            node = f"a{j}"
-            self.equations[node] = self._fit_discrete(
-                node, columns, A[:, j], n, rng
-            )
-        for f in range(self.n_features):
-            if f in self.static_features:
-                continue
-            node = f"ns{f}"
-            self.equations[node] = self._fit_continuous(
-                node, columns, NS[:, f], n, rng
-            )
-        self.equations["r"] = self._fit_continuous("r", columns, R, n, rng)
-
-        sum_r = np.array(
-            [sum(s.team_reward for s in ep.steps) for ep in history.episodes]
-        )
-        ys = np.array([episode_outcome(ep, outcome) for ep in history.episodes])
+        sum_r, ys = _episode_sums(history, outcome)
         if len(ys) < MIN_SAMPLES:
             raise MacieError(
                 f"too few samples to fit node y: {len(ys)} < {MIN_SAMPLES}"
@@ -338,31 +333,33 @@ class StructuralCausalModel:
         self.fitted = True
         return self
 
-    def _features_matrix(self, node, columns, n):
-        feats = self.parents[node]
-        X = np.empty((n, len(feats)))
-        for k, name in enumerate(feats):
-            X[:, k] = columns[name]
-        return X
-
-    def _fit_continuous(self, node, columns, target, n, rng):
-        if n < MIN_SAMPLES:
-            raise MacieError(f"too few samples to fit node {node}: {n} < {MIN_SAMPLES}")
-        X = self._features_matrix(node, columns, n)
-        return ContinuousEquation(
-            self.parents[node], _fit_model(self.model_name, X, target, rng)
+    def _targets(self, A, NS, R):
+        """Training target of each fitted node but ``y``, in fitting order."""
+        targets = {f"a{j}": A[:, j].astype(np.float64) for j in range(self.n_agents)}
+        targets.update(
+            {
+                f"ns{f}": NS[:, f]
+                for f in range(self.n_features)
+                if f not in self.static_features
+            }
         )
+        targets["r"] = R
+        return targets
 
-    def _fit_discrete(self, node, columns, target, n, rng):
-        if n < MIN_SAMPLES:
-            raise MacieError(f"too few samples to fit node {node}: {n} < {MIN_SAMPLES}")
-        X = self._features_matrix(node, columns, n)
-        values = list(range(self.n_actions))
-        models = [
-            _fit_model(self.model_name, X, (target == v).astype(np.float64), rng)
-            for v in values
-        ]
-        return DiscreteEquation(self.parents[node], values, models)
+    def _design(self, node, blocks):
+        """Input rows of ``node``'s equation: one column per parent.
+
+        ``blocks`` maps a node prefix (``s``, ``prev_a``, ``a``, ``ns``) to
+        a ``[B, width]`` array whose column ``k`` holds node ``{prefix}{k}``.
+        Fitting, validation and prediction all build their inputs here.
+        """
+        feats = self.parents[node]
+        B = next(iter(blocks.values())).shape[0]
+        X = np.empty((B, len(feats)))
+        for k, name in enumerate(feats):
+            prefix = name.rstrip("0123456789")
+            X[:, k] = blocks[prefix][:, int(name[len(prefix):])]
+        return X
 
     # -- validation ----------------------------------------------------------
 
@@ -382,29 +379,12 @@ class StructuralCausalModel:
         n = S.shape[0]
         if n < n_folds:
             raise MacieError(f"{n} transitions cannot fill {n_folds} folds")
-        columns = {f"s{f}": S[:, f] for f in range(self.n_features)}
-        columns.update(
-            {f"prev_a{i}": PA[:, i].astype(np.float64) for i in range(self.n_agents)}
-        )
-        columns.update(
-            {f"a{i}": A[:, i].astype(np.float64) for i in range(self.n_agents)}
-        )
-        columns.update({f"ns{f}": NS[:, f] for f in range(self.n_features)})
-
-        targets = {f"a{j}": A[:, j].astype(np.float64) for j in range(self.n_agents)}
-        targets.update(
-            {
-                f"ns{f}": NS[:, f]
-                for f in range(self.n_features)
-                if f not in self.static_features
-            }
-        )
-        targets["r"] = R
+        blocks = {"s": S, "prev_a": PA, "a": A, "ns": NS}
 
         folds = np.array_split(np.arange(n), n_folds)
         scores = {}
-        for node, target in targets.items():
-            X = self._features_matrix(node, columns, n)
+        for node, target in self._targets(A, NS, R).items():
+            X = self._design(node, blocks)
             pred = np.zeros(n)
             discrete = node.startswith("a")
             for test_idx in folds:
@@ -415,7 +395,7 @@ class StructuralCausalModel:
                         _fit_model(
                             self.model_name,
                             X[train],
-                            (targets[node][train] == v).astype(np.float64),
+                            (target[train] == v).astype(np.float64),
                             rng,
                         )
                         for v in range(self.n_actions)
@@ -427,10 +407,7 @@ class StructuralCausalModel:
                     pred[test_idx] = m.predict(X[test_idx])
             scores[node] = _r_squared(target, pred)
 
-        sum_r = np.array(
-            [sum(s.team_reward for s in ep.steps) for ep in history.episodes]
-        )
-        ys = np.array([episode_outcome(ep, outcome) for ep in history.episodes])
+        sum_r, ys = _episode_sums(history, outcome)
         if len(ys) >= n_folds:
             pred = np.zeros(len(ys))
             for test_idx in np.array_split(np.arange(len(ys)), n_folds):
@@ -443,55 +420,40 @@ class StructuralCausalModel:
 
     # -- prediction -----------------------------------------------------------
 
-    def _vector(self, node, context):
-        feats = self.parents[node]
-        X = np.empty((1, len(feats)))
-        for k, name in enumerate(feats):
-            X[0, k] = context[name]
-        return X
-
-    def _context(self, state, prev_actions=None, actions=None, next_state=None):
-        ctx = {f"s{f}": state[f] for f in range(self.n_features)}
-        if prev_actions is not None:
-            for i in range(self.n_agents):
-                ctx[f"prev_a{i}"] = float(prev_actions[i])
-        if actions is not None:
-            for i in range(self.n_agents):
-                ctx[f"a{i}"] = float(actions[i])
-        if next_state is not None:
-            for f in range(self.n_features):
-                ctx[f"ns{f}"] = next_state[f]
-        return ctx
-
-    def predict_action(self, agent, state, prev_actions):
+    def predict_action(self, agent, S, PA):
+        """Action of ``agent`` in each row of states ``S[B,D]`` that follow
+        the joint actions ``PA[B,n]``; an int array ``[B]``."""
         self._require_fitted()
-        ctx = self._context(state, prev_actions=prev_actions)
-        eq = self.equations[f"a{agent}"]
-        return int(eq.predict_rows(self._vector(f"a{agent}", ctx))[0])
+        node = f"a{agent}"
+        X = self._design(node, {"s": S, "prev_a": PA})
+        return self.equations[node].predict_rows(X).astype(np.int64)
 
-    def predict_next_state(self, state, actions):
+    def predict_next_state(self, S, A):
+        """Next states ``[B,D]`` from states ``S[B,D]`` and joint actions
+        ``A[B,n]``; static features are copied through."""
         self._require_fitted()
-        ctx = self._context(state, actions=actions)
-        out = np.empty(self.n_features)
+        out = np.array(S, dtype=np.float64)
+        blocks = {"s": S, "a": A}
         for f in range(self.n_features):
-            if f in self.static_features:
-                out[f] = state[f]
-                continue
-            node = f"ns{f}"
-            out[f] = self.equations[node].predict_rows(self._vector(node, ctx))[0]
+            if f not in self.static_features:
+                node = f"ns{f}"
+                out[:, f] = self.equations[node].predict_rows(
+                    self._design(node, blocks)
+                )
         return out
 
-    def predict_reward(self, actions, next_state):
+    def predict_reward(self, A, NS):
+        """Team reward ``[B]`` of joint actions ``A[B,n]`` that lead to next
+        states ``NS[B,D]``."""
         self._require_fitted()
-        ctx = self._context(np.zeros(self.n_features), actions=actions,
-                            next_state=next_state)
-        return float(self.equations["r"].predict_rows(self._vector("r", ctx))[0])
+        X = self._design("r", {"a": A, "ns": NS})
+        return self.equations["r"].predict_rows(X)
 
     def predict_outcome(self, sum_r):
+        """Episode outcome ``[B]`` of per-episode reward sums ``sum_r[B]``."""
         self._require_fitted()
-        return float(
-            self.equations["y"].predict_rows(np.array([[float(sum_r)]]))[0]
-        )
+        X = np.asarray(sum_r, dtype=np.float64)[:, None]
+        return self.equations["y"].predict_rows(X)
 
     def _require_fitted(self):
         if not self.fitted:
@@ -544,6 +506,15 @@ class StructuralCausalModel:
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _episode_sums(history, outcome):
+    """Per-episode team-reward sums and outcomes, the data of node ``y``."""
+    sum_r = np.array(
+        [sum(s.team_reward for s in ep.steps) for ep in history.episodes]
+    )
+    ys = np.array([episode_outcome(ep, outcome) for ep in history.episodes])
+    return sum_r, ys
 
 
 def _r_squared(target, pred):

@@ -1,22 +1,22 @@
 """Bagged regression trees used as structural-equation models.
 
-Trees are grown breadth-first into flat arrays so the same loop code runs
-compiled or plain. Bootstrap resampling enters as integer row weights, and
-columns are presorted once per fit, so each split is a single weighted scan
-per feature. Splits minimise weighted squared error; ties go to the first
-(feature, boundary) encountered, thresholds sit midway between adjacent
-distinct values, which keeps fits reproducible across runs and backends.
+Trees are grown breadth-first into flat arrays. Bootstrap resampling enters
+as integer row weights, and columns are presorted once per fit, so each
+split is a single weighted scan per feature. Splits minimise weighted
+squared error; ties go to the first (feature, boundary) encountered,
+thresholds sit midway between adjacent distinct values, which keeps fits
+reproducible across runs. Prediction walks every row of a batch down the
+tree at once, one level per step, so a row predicts the same alone as in
+any batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._accel import kernel
 from .core import ConfigError
 
 
-@kernel
 def grow_tree(X, order, y, w, max_depth, min_leaf):
     n, d = X.shape
     max_nodes = 2 ** (max_depth + 1) - 1
@@ -110,19 +110,16 @@ def grow_tree(X, order, y, w, max_depth, min_leaf):
     )
 
 
-@kernel
 def tree_predict(X, feat, thr, left, right, value):
-    n = X.shape[0]
-    out = np.zeros(n)
-    for i in range(n):
-        node = 0
-        while feat[node] >= 0:
-            if X[i, feat[node]] <= thr[node]:
-                node = left[node]
-            else:
-                node = right[node]
-        out[i] = value[node]
-    return out
+    node = np.zeros(X.shape[0], np.int64)
+    while True:
+        f = feat[node]
+        inner = np.nonzero(f >= 0)[0]
+        if inner.size == 0:
+            return value[node]
+        at = node[inner]
+        go_left = X[inner, f[inner]] <= thr[at]
+        node[inner] = np.where(go_left, left[at], right[at])
 
 
 class TreeEnsemble:

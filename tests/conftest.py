@@ -5,6 +5,5 @@ from macie import warmup
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_start():
-    # pay first-call costs (and numba compilation of the tree kernels, when
-    # numba is present) once, so timed tests measure steady state
+    # pay first-call costs once, so timed tests measure steady state
     warmup()

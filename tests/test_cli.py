@@ -133,11 +133,22 @@ def test_explain_rejects_malformed_reports(tmp_path, capsys):
         ["run", "--env", "gridworld", *RUN_ARGS, "--out", str(report_path)]
     ) == 0
     report = json.loads(report_path.read_text())
-    del report["ci"]
-    report_path.write_text(json.dumps(report))
     capsys.readouterr()
-    assert main(["explain", "--report", str(report_path)]) == 3
-    assert "report lacks fields: ci" in capsys.readouterr().err
+    for breakage, message in [
+        (lambda r: r.pop("ci"), "report lacks fields: ci"),
+        (lambda r: r.update(ci={}), "report field ci lacks: lows, highs, se, alpha"),
+        (lambda r: r.update(ci=[]), "report field ci is not an object"),
+        (lambda r: r["emergence"].pop("ii_pairs"),
+         "report field emergence lacks: ii_pairs"),
+        (lambda r: r["config"].pop("tau_si"), "report field config lacks: tau_si"),
+    ]:
+        broken = json.loads(json.dumps(report))
+        breakage(broken)
+        report_path.write_text(json.dumps(broken))
+        assert main(["explain", "--report", str(report_path)]) == 3
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert message in err
 
 
 def test_config_value_of_wrong_type_returns_2(tmp_path, capsys):

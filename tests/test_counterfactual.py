@@ -130,13 +130,33 @@ def test_agent_cf_shapes_and_samples():
     assert cf.y_fact == eng.factual_outcome(0)
 
 
-@pytest.mark.parametrize("env_name", ["gridworld", "traffic"])
-def test_intervention_batch_matches_single_episodes(env_name):
+@pytest.mark.parametrize(
+    "env_name,mode",
+    [
+        ("gridworld", "env_resim"),
+        ("traffic", "env_resim"),
+        ("gridworld", "scm_rollout"),
+    ],
+    ids=["gridworld", "traffic", "gridworld_scm_rollout"],
+)
+def test_intervention_batch_matches_single_episodes(env_name, mode):
     # one replay batch over episodes gives each episode the replays it gets
     # on a fresh engine alone
-    batch = make_engine(seed=4, env_name=env_name).interventions(1, range(5), 3)
+    scm = None
+    if mode == "scm_rollout":
+        hist = make_engine(seed=4, env_name=env_name).generate_history(12)
+        scm = StructuralCausalModel().fit(hist, OutcomeSpec())
+
+    def engine():
+        env = make_env(env_name)
+        return CounterfactualEngine(
+            SeedTree(4), OutcomeSpec(), env=env,
+            policies=default_policies(env.n_agents), mode=mode, scm=scm,
+        )
+
+    batch = engine().interventions(1, range(5), 3)
     for e, agent_cf in enumerate(batch):
-        alone = make_engine(seed=4, env_name=env_name).intervene_and_rollout(e, 1, 3)
+        alone = engine().intervene_and_rollout(e, 1, 3)
         assert agent_cf.y_cf_mean == alone.y_cf_mean
         assert agent_cf.critical == alone.critical
         for x, y in zip(agent_cf.samples, alone.samples):

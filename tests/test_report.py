@@ -227,6 +227,56 @@ def test_reports_match_golden_digests(case):
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == GOLDEN_REPORTS[case]
 
 
+# Canonical sha256 of small scm_rollout reports, recorded from the
+# per-episode structural-model replays that the batched ones replaced; any
+# drift in the equations' predictions or the replay rows changes them.
+GOLDEN_SCM_REPORTS = {
+    "gridworld/tree_ensemble": (
+        "6a24e470f6256fa4472b22669cdaac02f9aca35552b76e5f42569fa13e3f0d5b"
+    ),
+    "gridworld/linear": (
+        "6396cb05aa9bfe50c7483c1bc6338ae8aac02500deb095ec46c416331ed99f68"
+    ),
+    "traffic/linear": (
+        "238419ba9ac81151205b9a5c22b1bb7f83539254eb58bf8eba2290a9eecb5c8f"
+    ),
+    # a 14-episode gridworld log, written and read back
+    "ingested/tree_ensemble": (
+        "4363b2992dcbbb51ac2dd9476647e2f2729fc18fcac1496f31cfc75929cc224a"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SCM_REPORTS))
+def test_scm_reports_match_golden_digests(tmp_path, case):
+    from macie.core import OutcomeSpec
+    from macie.counterfactual import CounterfactualEngine
+    from macie.envs import make_env
+    from macie.policies import default_policies
+    from macie.rng import SeedTree
+
+    env_name, _, model = case.partition("/")
+    history = None
+    if env_name == "ingested":
+        env_name = None
+        eng = CounterfactualEngine(
+            SeedTree(3), OutcomeSpec(), env=make_env("gridworld"),
+            policies=default_policies(2),
+        )
+        path = tmp_path / "episodes.log"
+        write_log(eng.generate_history(14), path)
+        history = read_log(path)
+    config = RunConfig(
+        env=env_name or "gridworld", mode="scm_rollout", model=model,
+        episodes=12, k=3, b=20, method="shapley_exact", seed=42,
+    )
+    report = run_pipeline(config, history=history)
+    report.pop("timings_ns")
+    blob = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_SCM_REPORTS[case]
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -90,7 +90,7 @@ def test_goal_coordinates_become_static_features():
         assert f"ns{f}" not in scm.equations
         assert f"ns{f}" not in scm.nodes
     state = hist.episodes[0].steps[0].state
-    nxt = scm.predict_next_state(state, np.array([4, 4]))
+    nxt = scm.predict_next_state(state[None], np.array([[4, 4]]))[0]
     assert np.array_equal(nxt[4:8], state[4:8])
 
 
@@ -123,7 +123,9 @@ def test_predicted_actions_stay_in_range():
     for _ in range(20):
         state = rng.random(10) * 4.0
         for agent in (0, 1):
-            a = scm.predict_action(agent, state, rng.integers(0, 5, 2))
+            (a,) = scm.predict_action(
+                agent, state[None], rng.integers(0, 5, (1, 2))
+            )
             assert 0 <= a < scm.n_actions
 
 
@@ -135,7 +137,7 @@ def test_fit_is_deterministic():
         scm = StructuralCausalModel().fit(
             hist, OutcomeSpec(), rng=np.random.default_rng(7)
         )
-        outs.append(scm.predict_next_state(state, np.array([1, 3])))
+        outs.append(scm.predict_next_state(state[None], np.array([[1, 3]])))
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -148,14 +150,15 @@ def test_serialization_round_trip_preserves_predictions(tmp_path):
     assert back.static_features == scm.static_features
     assert back.parents == scm.parents
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        state = rng.random(10) * 4.0
-        acts = rng.integers(0, 5, 2)
-        assert np.array_equal(
-            scm.predict_next_state(state, acts), back.predict_next_state(state, acts)
-        )
-        assert scm.predict_reward(acts, state) == back.predict_reward(acts, state)
-    assert back.predict_outcome(3.5) == scm.predict_outcome(3.5)
+    states = rng.random((10, 10)) * 4.0
+    acts = rng.integers(0, 5, (10, 2))
+    assert np.array_equal(
+        scm.predict_next_state(states, acts), back.predict_next_state(states, acts)
+    )
+    assert np.array_equal(
+        scm.predict_reward(acts, states), back.predict_reward(acts, states)
+    )
+    assert back.predict_outcome([3.5]) == scm.predict_outcome([3.5])
 
 
 def test_from_dict_rejects_foreign_payloads():
@@ -225,3 +228,26 @@ def test_independent_actions_prune_all_edges():
     hist = synthetic_history(30, 10, act)
     scm = StructuralCausalModel().fit(hist, OutcomeSpec(), model="linear")
     assert scm.inter_agent_edges() == []
+
+
+@pytest.mark.parametrize("model", ["constant_mean", "linear", "tree_ensemble"])
+def test_batch_predictions_match_each_row_alone(model):
+    hist = gridworld_history(episodes=12)
+    scm = StructuralCausalModel().fit(hist, OutcomeSpec(), model=model)
+    rng = np.random.default_rng(5)
+    B = 40
+    states = np.array([s.state for ep in hist.episodes for s in ep.steps])
+    S = states[rng.integers(0, len(states), B)] + rng.normal(0.0, 0.3, (B, 10))
+    PA = rng.integers(0, scm.n_actions, (B, 2))
+    A = rng.integers(0, scm.n_actions, (B, 2))
+    NS = scm.predict_next_state(S, A)
+    R = scm.predict_reward(A, NS)
+    Y = scm.predict_outcome(R * 25.0)
+    acts = [scm.predict_action(agent, S, PA) for agent in (0, 1)]
+    for b in range(B):
+        one = slice(b, b + 1)
+        for agent in (0, 1):
+            assert acts[agent][b] == scm.predict_action(agent, S[one], PA[one])[0]
+        assert np.array_equal(NS[b], scm.predict_next_state(S[one], A[one])[0])
+        assert R[b] == scm.predict_reward(A[one], NS[one])[0]
+        assert Y[b] == scm.predict_outcome(R[one] * 25.0)[0]

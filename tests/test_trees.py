@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -95,3 +98,31 @@ def test_cumulative_grid_coordinates_fit_cleanly():
     pred = model.predict(X)
     assert np.all(np.isfinite(pred))
     assert _r2(y, pred) > 0.9
+
+
+# sha256 of one fixed ensemble's ``to_dict()`` (canonical JSON) and of its
+# predictions' bytes, recorded from the per-row tree kernels that the
+# vectorised ones replaced
+GOLDEN_TREE = (
+    "a2ce73f81bed651878ef0f34a0dae91147ee1c6dc4a5f6e21e52fd33143008ed",
+    "ce2fbb20f8c9d071e7fdcac012ba4c477e30d1522adc879a537501585c5f8bd6",
+)
+
+
+def test_fixed_ensemble_matches_golden_digests():
+    rng = np.random.default_rng(11)
+    X = rng.random((60, 3))
+    X[:, 2] = np.round(X[:, 2] * 4)
+    y = np.sin(5.0 * X[:, 0]) + X[:, 1] * X[:, 2]
+    model = TreeEnsemble(n_trees=3, max_depth=4).fit(
+        X, y, np.random.default_rng(12)
+    )
+    probe = rng.random((40, 3))
+    probe[:, 2] = np.round(probe[:, 2] * 4)
+    # rows lying exactly on the first tree's split thresholds go left
+    feat, thr = model.trees[0][:2]
+    probe = np.vstack([probe, np.repeat(thr[feat >= 0][:, None], 3, axis=1)])
+    blob = json.dumps(model.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == GOLDEN_TREE[0]
+    pred = model.predict(probe)
+    assert hashlib.sha256(pred.tobytes()).hexdigest() == GOLDEN_TREE[1]
