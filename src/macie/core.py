@@ -273,6 +273,17 @@ def read_log(path) -> History:
                 )
             )
 
+    def floats(field, no, count, what):
+        values = np.array([float(v) for v in field.split(",")])
+        if len(values) != count:
+            raise MacieError(
+                f"{path}, line {no}: {what} has {len(values)} fields, "
+                f"the header implies {count}"
+            )
+        if not np.isfinite(values).all():
+            raise MacieError(f"{path}, line {no}: {what} is not finite")
+        return values
+
     for no, line in raw[1:]:
         parts = line.split("\t")
         try:
@@ -282,23 +293,25 @@ def read_log(path) -> History:
                 seed = int(parts[2])
                 continue
             if parts[0] == "#final":
-                final_state = np.array([float(v) for v in parts[1].split(",")])
+                final_state = floats(parts[1], no, len(feature_names), "state")
                 continue
-            state = np.array([float(v) for v in parts[1].split(",")])
+            state = floats(parts[1], no, len(feature_names), "state")
             actions = np.array([int(v) for v in parts[2].split(",")], dtype=np.int64)
-            rew = [float(v) for v in parts[3].split(",")]
+            rew = floats(parts[3], no, n_agents + 1, "rewards")
         except (IndexError, ValueError) as exc:
             raise MacieError(f"{path}, line {no}: malformed record ({exc})") from None
         if len(actions) != n_agents:
             raise MacieError(
                 f"{path}, line {no}: record disagrees with header agent count"
             )
+        if (actions < 0).any():
+            raise MacieError(f"{path}, line {no}: negative action")
         steps.append(
             Step(
                 state=state,
                 joint_action=actions,
-                rewards=np.array(rew[:-1]),
-                team_reward=rew[-1],
+                rewards=rew[:-1],
+                team_reward=float(rew[-1]),
             )
         )
     flush()

@@ -102,24 +102,48 @@ def _gridworld_log(path, episodes=3):
     return path.read_text().splitlines()
 
 
+def _edit_field(column, edit):
+    """Corrupt one comma-separated field of a record: ``edit`` maps the list
+    of values in tab-separated ``column`` to a new list."""
+
+    def corrupt(text):
+        parts = text.split("\t")
+        parts[column] = ",".join(edit(parts[column].split(",")))
+        return "\t".join(parts)
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "line, corrupt",
     [
         (3, lambda text: text.replace("\t", "\tx,", 1)),  # non-numeric state
         (1, lambda text: text.replace("\tn_agents=2", "")),  # header field gone
         (4, lambda text: "garbage"),  # record without tabs
+        (3, _edit_field(1, lambda v: ["nan"] + v[1:])),
+        (3, _edit_field(1, lambda v: v[:-1])),  # fewer values than features=
+        (4, _edit_field(1, lambda v: v[:-1] + ["inf"])),
+        (4, _edit_field(2, lambda v: ["-1"] + v[1:])),
     ],
-    ids=["non_numeric_state", "header_without_n_agents", "record_without_tabs"],
+    ids=[
+        "non_numeric_state",
+        "header_without_n_agents",
+        "record_without_tabs",
+        "nan_state",
+        "short_state",
+        "inf_state",
+        "negative_action",
+    ],
 )
 def test_malformed_log_names_the_line(tmp_path, capsys, line, corrupt):
     path = tmp_path / "episodes.log"
-    lines = _gridworld_log(path)
+    lines = _gridworld_log(path, episodes=12)
     lines[line - 1] = corrupt(lines[line - 1])
     path.write_text("\n".join(lines) + "\n")
     assert main(["ingest", "--log", str(path)]) == 3
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert f"line {line}:" in err
+    assert f"{path}, line {line}:" in err
 
 
 def test_explain_rejects_malformed_reports(tmp_path, capsys):

@@ -8,6 +8,102 @@ from macie import ConfigError, TreeEnsemble
 from macie.trees import grow_tree, tree_predict
 
 
+# the row-by-row grower that the vectorised ``grow_tree`` replaced; it is the
+# oracle the vectorised one must match byte for byte
+def _grow_tree_reference(X, order, y, w, max_depth, min_leaf):
+    n, d = X.shape
+    max_nodes = 2 ** (max_depth + 1) - 1
+    feat = np.full(max_nodes, -1, np.int64)
+    thr = np.zeros(max_nodes)
+    left = np.full(max_nodes, -1, np.int64)
+    right = np.full(max_nodes, -1, np.int64)
+    value = np.zeros(max_nodes)
+    depth_of = np.zeros(max_nodes, np.int64)
+    node_of = np.full(n, -1, np.int64)
+    for i in range(n):
+        if w[i] > 0.0:
+            node_of[i] = 0
+    n_nodes = 1
+    node = 0
+    while node < n_nodes:
+        tw = 0.0
+        twy = 0.0
+        twyy = 0.0
+        for i in range(n):
+            if node_of[i] == node:
+                wi = w[i]
+                tw += wi
+                twy += wi * y[i]
+                twyy += wi * y[i] * y[i]
+        value[node] = twy / tw
+        sse_total = twyy - twy * twy / tw
+        if depth_of[node] >= max_depth or sse_total <= 1e-12 or tw < 2.0 * min_leaf:
+            node += 1
+            continue
+        best_sse = sse_total
+        best_f = -1
+        best_thr = 0.0
+        for f in range(d):
+            lw = 0.0
+            lwy = 0.0
+            lwyy = 0.0
+            prev_x = 0.0
+            have_prev = False
+            for k in range(n):
+                i = order[k, f]
+                if node_of[i] != node:
+                    continue
+                xi = X[i, f]
+                if have_prev and xi != prev_x:
+                    rw = tw - lw
+                    if lw >= min_leaf and rw >= min_leaf:
+                        sse = (lwyy - lwy * lwy / lw) + (
+                            (twyy - lwyy) - (twy - lwy) * (twy - lwy) / rw
+                        )
+                        if sse < best_sse - 1e-12:
+                            best_sse = sse
+                            best_f = f
+                            # the midpoint of adjacent doubles can round up
+                            # to xi; clamp so the right child stays nonempty
+                            cand = 0.5 * (prev_x + xi)
+                            if cand >= xi:
+                                cand = prev_x
+                            best_thr = cand
+                wi = w[i]
+                lw += wi
+                lwy += wi * y[i]
+                lwyy += wi * y[i] * y[i]
+                prev_x = xi
+                have_prev = True
+        if best_f < 0:
+            node += 1
+            continue
+        li = n_nodes
+        ri = n_nodes + 1
+        n_nodes += 2
+        feat[node] = best_f
+        thr[node] = best_thr
+        left[node] = li
+        right[node] = ri
+        depth_of[li] = depth_of[node] + 1
+        depth_of[ri] = depth_of[node] + 1
+        for i in range(n):
+            if node_of[i] == node:
+                if X[i, best_f] <= best_thr:
+                    node_of[i] = li
+                else:
+                    node_of[i] = ri
+        node += 1
+    return (
+        feat[:n_nodes],
+        thr[:n_nodes],
+        left[:n_nodes],
+        right[:n_nodes],
+        value[:n_nodes],
+    )
+
+
+
 def _r2(y, pred):
     ss = float(np.sum((y - pred) ** 2))
     tot = float(np.sum((y - y.mean()) ** 2))
@@ -25,6 +121,15 @@ def test_settings_are_validated():
         TreeEnsemble().predict(np.zeros((1, 2)))
     with pytest.raises(ConfigError):
         TreeEnsemble().fit(np.zeros((0, 2)), np.zeros(0), np.random.default_rng(0))
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.zeros((4, 2))
+        X[2, 1] = bad
+        with pytest.raises(ConfigError, match="non-finite"):
+            TreeEnsemble().fit(X, np.zeros(4), np.random.default_rng(0))
+        y = np.zeros(4)
+        y[3] = bad
+        with pytest.raises(ConfigError, match="non-finite"):
+            TreeEnsemble().fit(np.zeros((4, 2)), y, np.random.default_rng(0))
 
 
 def test_fits_a_nonlinear_surface():
@@ -126,3 +231,64 @@ def test_fixed_ensemble_matches_golden_digests():
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == GOLDEN_TREE[0]
     pred = model.predict(probe)
     assert hashlib.sha256(pred.tobytes()).hexdigest() == GOLDEN_TREE[1]
+
+
+def _random_case(rng, case):
+    n = int(rng.integers(2, 150))
+    d = int(rng.integers(1, 6))
+    X = rng.random((n, d))
+    for j in range(d):
+        kind = rng.integers(4)
+        if kind == 1:  # small integers, many ties
+            X[:, j] = rng.integers(0, 4, n)
+        elif kind == 2:  # rounded
+            X[:, j] = np.round(X[:, j], 1)
+        elif kind == 3:  # near-constant: a few rows one ulp above the rest
+            X[:, j] = np.where(
+                rng.random(n) < 0.1, np.nextafter(0.3, 1.0), 0.3
+            )
+    if d > 1 and rng.random() < 0.3:
+        # the same partitions under another feature, summed in another order
+        X[:, 1] = -X[:, 0]
+    kind = rng.integers(3)
+    if kind == 1:
+        y = (rng.random(n) < 0.5).astype(np.float64)
+    elif kind == 2:  # mostly zeros of both signs
+        y = np.round(0.3 * rng.normal(size=n))
+    else:
+        y = rng.normal(size=n)
+    # bootstrap counts: some rows drawn several times, some not at all
+    w = np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
+    order = np.argsort(X, axis=0, kind="stable").astype(np.int64)
+    return X, order, y, w, case % 6 + 1, float(case // 6 % 3 + 1)
+
+
+def test_grow_tree_matches_the_row_by_row_reference():
+    rng = np.random.default_rng(20)
+    for case in range(300):
+        args = _random_case(rng, case)
+        got = grow_tree(*args)
+        want = _grow_tree_reference(*args)
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), case
+
+
+def test_ensemble_walk_matches_single_trees_and_single_rows():
+    rng = np.random.default_rng(21)
+    X = rng.random((90, 3))
+    X[:, 1] = rng.integers(0, 3, 90)
+    X[:, 2] = np.round(X[:, 2], 1)
+    y = np.cos(4.0 * X[:, 0]) + X[:, 1] - X[:, 2]
+    model = TreeEnsemble(n_trees=5, max_depth=4).fit(X, y, rng)
+    probe = rng.random((30, 3))
+    for feat, thr, *_ in model.trees:
+        # rows lying exactly on split thresholds
+        probe = np.vstack([probe, np.repeat(thr[feat >= 0][:, None], 3, axis=1)])
+    for ensemble in (model, TreeEnsemble.from_dict(model.to_dict())):
+        batch = ensemble.predict(probe)
+        alone = np.concatenate([ensemble.predict(row[None]) for row in probe])
+        assert batch.tobytes() == alone.tobytes()
+        total = np.zeros(len(probe))
+        for tree in ensemble.trees:
+            total += tree_predict(probe, *tree)
+        assert batch.tobytes() == (total / len(ensemble.trees)).tobytes()
