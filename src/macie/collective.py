@@ -52,27 +52,32 @@ def synergy_index(values):
     return float(np.clip((grand - solo_sum) / denom, -SI_BOUND, SI_BOUND))
 
 
-def _vector_corr(x, y):
-    sx = float(np.std(x))
-    sy = float(np.std(y))
-    if sx < 1e-12 or sy < 1e-12:
-        # constant vectors carry no spread to correlate; call them fully
-        # coordinated only when literally identical
-        return 1.0 if np.array_equal(x, y) else 0.0
-    return float(np.mean((x - np.mean(x)) * (y - np.mean(y))) / (sx * sy))
+def _step_correlations(acts):
+    """Correlation of each joint action ``acts[t]`` with the next, ``[T - 1]``.
+
+    A constant row carries no spread to correlate: the pair counts as fully
+    coordinated (1.0) only when the two rows are identical, else 0.0.
+    """
+    x, y = acts[:-1], acts[1:]
+    sx, sy = np.std(x, axis=1), np.std(y, axis=1)
+    cov = np.mean(
+        (x - np.mean(x, axis=1, keepdims=True))
+        * (y - np.mean(y, axis=1, keepdims=True)),
+        axis=1,
+    )
+    flat = (sx < 1e-12) | (sy < 1e-12)
+    same = np.all(x == y, axis=1).astype(np.float64)
+    return np.where(flat, same, cov / np.where(flat, 1.0, sx * sy))
 
 
 def coordination_score(history):
     """Mean correlation between consecutive joint-action vectors."""
     per_episode = []
     for ep in history.episodes:
-        acts = [np.asarray(s.joint_action, dtype=np.float64) for s in ep.steps]
-        if len(acts) < 2:
+        if len(ep.steps) < 2:
             continue
-        cs = [
-            _vector_corr(acts[t - 1], acts[t]) for t in range(1, len(acts))
-        ]
-        per_episode.append(float(np.mean(cs)))
+        acts = np.array([s.joint_action for s in ep.steps], dtype=np.float64)
+        per_episode.append(float(np.mean(_step_correlations(acts))))
     if not per_episode:
         return 0.0
     return float(np.mean(per_episode))

@@ -117,37 +117,50 @@ class History:
         return self.episodes[0].env_name
 
 
-def rewards_outcome(team_rewards, horizon, spec: OutcomeSpec = OutcomeSpec()) -> float:
-    """Outcome of an episode from its executed steps' team rewards (a list)."""
+def rewards_outcome(team, length, spec: OutcomeSpec = OutcomeSpec()) -> np.ndarray:
+    """Outcomes ``[B]`` of episodes from their team rewards.
+
+    ``team[B, H]`` holds each episode's team reward per step over the
+    horizon ``H``; only the first ``length[b]`` steps of row ``b`` ran.
+    """
+    team = np.asarray(team, dtype=np.float64)
+    length = np.asarray(length, dtype=np.int64)
     if spec.kind == CUMULATIVE_TEAM_REWARD:
-        return float(sum(team_rewards))
-    return 1.0 if len(team_rewards) < horizon else 0.0
+        total = np.cumsum(team, axis=1)[np.arange(len(length)), length - 1]
+        # a sum from 0, as Python's, turns a run of negative zeros into 0.0
+        return total + 0.0
+    return np.where(length < team.shape[1], 1.0, 0.0)
 
 
-def rewards_trace(team_rewards, horizon, spec: OutcomeSpec = OutcomeSpec()) -> np.ndarray:
-    """Outcome trace padded to ``horizon`` from the executed steps' team rewards.
+def rewards_trace(team, length, spec: OutcomeSpec = OutcomeSpec()) -> np.ndarray:
+    """Outcome traces ``[B, H]`` of episodes; arguments as :func:`rewards_outcome`.
 
     Episodes that terminate early hold their terminal cumulative value for
     the remaining steps so traces of different episodes align.  Under the
     success-indicator outcome the trace is 0 until the (early) final step.
     """
-    out = np.zeros(horizon)
+    team = np.asarray(team, dtype=np.float64)
+    length = np.asarray(length, dtype=np.int64)
+    last = length[:, None] - 1
+    steps = np.arange(team.shape[1])
     if spec.kind == CUMULATIVE_TEAM_REWARD:
-        trace = np.cumsum(team_rewards)
-        out[: len(trace)] = trace
-        out[len(trace) :] = trace[-1]
-    else:
-        out[len(team_rewards) - 1 :] = rewards_outcome(team_rewards, horizon, spec)
-    return out
+        held = np.minimum(steps, last)
+        return np.take_along_axis(np.cumsum(team, axis=1), held, axis=1)
+    return np.where(steps >= last, rewards_outcome(team, length, spec)[:, None], 0.0)
+
+
+def _episode_rewards(episode: Episode):
+    """``team[1, horizon]`` and ``length[1]`` of one episode."""
+    if not episode.steps:
+        raise MacieError("episode has no steps")
+    team = np.zeros((1, episode.horizon))
+    team[0, : episode.length] = [s.team_reward for s in episode.steps]
+    return team, [episode.length]
 
 
 def episode_outcome(episode: Episode, spec: OutcomeSpec = OutcomeSpec()) -> float:
     """Scalar team outcome of one episode."""
-    if not episode.steps:
-        raise MacieError("episode has no steps")
-    return rewards_outcome(
-        [s.team_reward for s in episode.steps], episode.horizon, spec
-    )
+    return float(rewards_outcome(*_episode_rewards(episode), spec)[0])
 
 
 def outcome(history_or_episode, spec: OutcomeSpec = OutcomeSpec()) -> float:
@@ -172,11 +185,7 @@ def cumulative_trace(episode: Episode) -> np.ndarray:
 
 def padded_trace(episode: Episode, spec: OutcomeSpec = OutcomeSpec()) -> np.ndarray:
     """Outcome trace padded to the episode horizon; see :func:`rewards_trace`."""
-    if not episode.steps:
-        raise MacieError("episode has no steps")
-    return rewards_trace(
-        [s.team_reward for s in episode.steps], episode.horizon, spec
-    )
+    return rewards_trace(*_episode_rewards(episode), spec)[0]
 
 
 def mean_trace(history: History, spec: OutcomeSpec = OutcomeSpec()) -> np.ndarray:

@@ -19,17 +19,24 @@ Two propagation modes: ``env_resim`` replays through the real simulator;
 ``scm_rollout`` replays through the fitted structural model, which also
 works for ingested histories with no simulator attached.
 
-A replay is a row ``(episode, baseline agents, agent reps, env rep)``. The
-replays of each intervened agent form one list of rows over (episode,
-sample), and the coalitions one over (episode, coalition); both modes run
-such a list in chunks of ``REPLAY_CHUNK`` rows. ``env_resim`` simulates a
-chunk as one batched rollout, the factual episodes too. ``scm_rollout``
-steps a chunk through the structural model with one prediction per node
-and step: each row starts from its factual episode's first state, the
-baseline agents draw uniform actions and the model predicts the others.
-Each stream is derived once per run: the ones several rows read are kept on
-the engine, and a later replicate of one agent's actions, which only its
-own replay reads, is drawn where it is used.
+A replay is a row: an episode, the agents swapped to the baseline policy,
+each agent's replicate and the environment's replicate, held as arrays over
+a row axis. The replays of each intervened agent form one set of rows over
+(episode, sample), and the coalitions one over (episode, coalition); both
+modes run such a set in chunks of ``REPLAY_CHUNK`` rows. ``env_resim``
+simulates a chunk as one batched rollout, the factual episodes too.
+``scm_rollout`` steps a chunk through the structural model with one
+prediction per node and step: each row starts from its factual episode's
+first state, the baseline agents draw uniform actions and the model
+predicts the others.
+Either mode reduces a chunk to arrays of traces and outcomes.
+
+Each stream is derived once per run. What several rows read (an episode's
+start, its replicate-0 action uniforms and its environment uniforms per
+replicate) is kept on the engine, derived in one batch for the keys a chunk
+first needs, and gathered into the chunk by indexing. A later replicate of
+one agent's actions, which only its own replay reads, is drawn for the
+whole chunk in one call of :func:`macie.rng.uniform_streams`.
 """
 
 from __future__ import annotations
@@ -139,7 +146,12 @@ class CounterfactualEngine:
         self.epsilon_frac = epsilon_frac
         self._factual: dict[int, Episode] = {}
         self._coalitions: dict[tuple, float] = {}
-        self._draws: dict[tuple, np.ndarray] = {}
+        # draws several rows read, by stream key: episode -> start state,
+        # episode -> replicate-0 action uniforms [T, n, 2],
+        # (episode, replicate) -> environment uniforms [T, n, 2]
+        self._starts: dict[tuple, np.ndarray] = {}
+        self._act0: dict[tuple, np.ndarray] = {}
+        self._env_u: dict[tuple, np.ndarray] = {}
         # replay batches of different agents may run on a thread pool
         self._draws_lock = threading.Lock()
 
@@ -175,9 +187,13 @@ class CounterfactualEngine:
             for e in missing:
                 self._factual[e] = self.history.episodes[e]
         elif missing:
-            n = self.n_agents
-            rows = [(e, (), (0,) * n, 0) for e in missing]
-            states, actions, rewards, team, length = self._replay(rows)
+            n, B = self.n_agents, len(missing)
+            states, actions, rewards, team, length = self._replay(
+                np.array(missing, dtype=np.int64),
+                np.zeros((B, n), dtype=bool),
+                np.zeros((B, n), dtype=np.int64),
+                np.zeros(B, dtype=np.int64),
+            )
             for b, e in enumerate(missing):
                 L = int(length[b])
                 steps = [
@@ -211,43 +227,66 @@ class CounterfactualEngine:
 
     # -- simulation --------------------------------------------------------------
 
-    def _draw(self, draw, tag, *indices):
-        """``draw(stream)`` for the stream keyed ``(tag, *indices)``, derived once."""
-        key = (tag, *indices)
+    def _gather(self, cache, keys, derive):
+        """``cache[key]`` stacked for each row of ``keys[B, m]``.
+
+        Keys not yet cached are derived together, ``derive(missing[M, m])``
+        giving their ``M`` values, and kept.
+        """
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        uniq = [tuple(k) for k in uniq.tolist()]
         with self._draws_lock:
-            if key not in self._draws:
-                self._draws[key] = draw(self.tree.stream(tag, *indices))
-            return self._draws[key]
+            missing = [k for k in uniq if k not in cache]
+            if missing:
+                cache.update(zip(missing, derive(np.array(missing, dtype=np.int64))))
+            values = np.stack([cache[k] for k in uniq])
+        return values[inverse.reshape(-1)]
 
-    def _act_draws(self, e, agent, rep):
-        T = self.horizon
-        if rep > 0:
-            return self.tree.stream("act", e, agent, rep).random((T, 2))
-        return self._draw(lambda g: g.random((T, 2)), "act", e, agent, rep)
+    def _act_uniforms(self, episodes, reps):
+        """Action uniforms ``[B, T, n, 2]``: agent ``j`` of row ``b`` at ``reps[b, j]``.
 
-    def _replay(self, rows):
-        """Simulate rows of ``(episode, baseline agents, agent reps, env rep)``.
+        Replicate 0, which the factual run and most replays read, is kept per
+        episode; the later replicates of a chunk are drawn in one call.
+        """
+        T, n = self.horizon, self.n_agents
 
-        Agents named in a row play the baseline policy, the others their
-        factual policy; agent ``j`` draws from its replicate ``reps[j]`` and
-        the environment from ``env_rep``. Returns the batched rollout.
+        def replicate0(keys):
+            streams = [(e, j, 0) for e in keys[:, 0] for j in range(n)]
+            u = self.tree.uniforms("act", streams, 2 * T)
+            return u.reshape(len(keys), n, T, 2).transpose(0, 2, 1, 3)
+
+        act_u = self._gather(self._act0, episodes[:, None], replicate0)
+        rows, agents = np.nonzero(reps)
+        if len(rows):
+            streams = np.stack([episodes[rows], agents, reps[rows, agents]], axis=1)
+            u = self.tree.uniforms("act", streams, 2 * T)
+            act_u[rows, :, agents] = u.reshape(-1, T, 2)
+        return act_u
+
+    def _replay(self, episodes, baseline, reps, env_rep):
+        """Simulate rows: episode ``episodes[b]`` with ``baseline[b, j]`` swapped.
+
+        Agents marked in ``baseline[B, n]`` play the baseline policy, the
+        others their factual policy; agent ``j`` draws from its replicate
+        ``reps[b, j]`` and the environment from ``env_rep[b]``. Returns the
+        batched rollout.
         """
         env = self.env
-        T, n, B = env.horizon, env.n_agents, len(rows)
-        S0 = np.empty((B, env.state_dim))
-        act_u = np.empty((B, T, n, 2))
+        T, n, B = env.horizon, env.n_agents, len(episodes)
+
+        def starts(keys):
+            return [env.initial_state(self.tree.stream("reset", e)) for e in keys[:, 0]]
+
+        def env_uniforms(keys):
+            return self.tree.uniforms("env", keys, T * n * 2).reshape(-1, T, n, 2)
+
+        S0 = self._gather(self._starts, episodes[:, None], starts)
+        act_u = self._act_uniforms(episodes, reps)
         if env.uses_env_draws:
-            env_u = np.empty((B, T, n, 2))
+            keys = np.stack([episodes, env_rep], axis=1)
+            env_u = self._gather(self._env_u, keys, env_uniforms)
         else:
             env_u = np.broadcast_to(0.0, (B, T, n, 2))
-        baseline = np.zeros((B, n), dtype=bool)
-        for b, (e, swapped, reps, env_rep) in enumerate(rows):
-            S0[b] = self._draw(env.initial_state, "reset", e)
-            for j in range(n):
-                act_u[b, :, j] = self._act_draws(e, j, reps[j])
-            if env.uses_env_draws:
-                env_u[b] = self._draw(lambda g: env.env_draws(g, T), "env", e, env_rep)
-            baseline[b, list(swapped)] = True
         factual = policy_arrays(self.policies)
         swap = policy_arrays([self.baseline] * n)
         kinds, alphas, consts = (
@@ -255,60 +294,54 @@ class CounterfactualEngine:
         )
         return env.rollout_batch(S0, kinds, alphas, consts, act_u, env_u)
 
-    def _replay_outcomes(self, rows):
-        """``(trace, outcome)`` of each replayed row, without building steps."""
-        out = []
-        for start in range(0, len(rows), REPLAY_CHUNK):
-            chunk = rows[start : start + REPLAY_CHUNK]
+    def _replay_outcomes(self, episodes, baseline, reps, env_rep):
+        """``(traces[B, T], outcomes[B])`` of replayed rows (see :meth:`_replay`)."""
+        traces, outcomes = [], []
+        for start in range(0, len(episodes), REPLAY_CHUNK):
+            chunk = [
+                a[start : start + REPLAY_CHUNK]
+                for a in (episodes, baseline, reps, env_rep)
+            ]
             if self.mode == "scm_rollout":
-                out.extend(self._scm_outcomes(chunk))
-                continue
-            _, _, _, team, length = self._replay(chunk)
-            for b in range(len(length)):
-                rewards = team[b, : length[b]].tolist()
-                out.append(
-                    (
-                        rewards_trace(rewards, self.horizon, self.outcome),
-                        rewards_outcome(rewards, self.horizon, self.outcome),
-                    )
-                )
-        return out
+                trace, y = self._scm_outcomes(*chunk[:3])
+            else:
+                _, _, _, team, length = self._replay(*chunk)
+                trace = rewards_trace(team, length, self.outcome)
+                y = rewards_outcome(team, length, self.outcome)
+            traces.append(trace)
+            outcomes.append(y)
+        return np.concatenate(traces), np.concatenate(outcomes)
 
-    def _scm_outcomes(self, rows):
-        """``(trace, outcome)`` of rows replayed through the structural model.
+    def _scm_outcomes(self, episodes, baseline, reps):
+        """``(traces[B, T], outcomes[B])`` of rows replayed through the model.
 
         A row starts from its factual episode's first state and joint action
-        and runs to the horizon. Agent ``j`` named in the row acts uniformly
-        at random from its replicate ``reps[j]``; the model predicts every
+        and runs to the horizon. Agent ``j`` swapped in the row acts uniformly
+        at random from its replicate ``reps[b, j]``; the model predicts every
         other action, the next state and the reward. The trace is the running
         reward sum and the outcome the model's ``y`` of the total.
         """
         scm = self.scm
         if scm is None:
             raise MacieError("scm_rollout mode needs a fitted structural model")
-        T, n, B = self.horizon, self.n_agents, len(rows)
-        facts = self.factuals([e for e, *_ in rows])
+        T, n, B = self.horizon, self.n_agents, len(episodes)
+        facts = self.factuals(episodes.tolist())
         S = np.array([f.steps[0].state for f in facts], dtype=np.float64)
         PA = np.array([f.steps[0].joint_action for f in facts], dtype=np.int64)
-        uniform = np.zeros((B, n), dtype=bool)
-        u = np.zeros((B, T, n))
-        for b, (e, swapped, reps, _) in enumerate(rows):
-            for j in swapped:
-                uniform[b, j] = True
-                u[b, :, j] = self._act_draws(e, j, reps[j])[:, 1]
+        u = self._act_uniforms(episodes, reps)[..., 1]
         drawn = (u * scm.n_actions).astype(np.int64)
         rewards = np.empty((B, T))
         for t in range(T):
             A = drawn[:, t].copy()
             for j in range(n):
-                free = ~uniform[:, j]
+                free = ~baseline[:, j]
                 if free.any():
                     A[free, j] = scm.predict_action(j, S[free], PA[free])
             NS = scm.predict_next_state(S, A)
             rewards[:, t] = scm.predict_reward(A, NS)
             S, PA = NS, A
         y = scm.predict_outcome([r.sum() for r in rewards])
-        return [(np.cumsum(r), float(v)) for r, v in zip(rewards, y)]
+        return np.cumsum(rewards, axis=1), np.asarray(y, dtype=np.float64)
 
     # -- counterfactuals -----------------------------------------------------------
 
@@ -327,38 +360,48 @@ class CounterfactualEngine:
             raise ConfigError(f"need at least one sample, got {n_samples}")
         episodes = list(episodes)
         facts = self.factuals(episodes)
-        rows = []
-        for e in episodes:
-            for k in range(n_samples):
-                reps = [0] * self.n_agents
-                reps[agent] = k
-                rows.append((e, (agent,), reps, k))
-        replays = self._replay_outcomes(rows)
+        n, K = self.n_agents, n_samples
+        B = len(episodes) * K
+        samples_k = np.tile(np.arange(K, dtype=np.int64), len(episodes))
+        baseline = np.zeros((B, n), dtype=bool)
+        baseline[:, agent] = True
+        reps = np.zeros((B, n), dtype=np.int64)
+        reps[:, agent] = samples_k
+        traces, y_cf = self._replay_outcomes(
+            np.repeat(np.array(episodes, dtype=np.int64), K), baseline, reps, samples_k
+        )
         out = []
         for i, fact in enumerate(facts):
             y_fact = episode_outcome(fact, self.outcome)
             fact_trace = padded_trace(fact, self.outcome)
             eps = self.epsilon(y_fact)
+            ep_traces, ep_y = traces[i * K : (i + 1) * K], y_cf[i * K : (i + 1) * K]
+            # critical steps of every sample from one comparison: the
+            # 1-based steps above epsilon, row by row, cut at each row's end
+            above = np.abs(ep_traces - fact_trace) > eps
+            steps = (np.nonzero(above)[1] + 1).tolist()
+            ends = np.cumsum(above.sum(axis=1)).tolist()
             samples = [
                 CFSample(
                     agent=agent,
                     k=k,
-                    y_cf=y_cf,
-                    trace=trace,
-                    critical=critical_timesteps(fact_trace, trace, eps),
+                    y_cf=y,
+                    trace=ep_traces[k],
+                    critical=steps[start:end],
                 )
-                for k, (trace, y_cf) in enumerate(
-                    replays[i * n_samples : (i + 1) * n_samples]
+                for k, (y, start, end) in enumerate(
+                    zip(ep_y.tolist(), [0, *ends], ends)
                 )
             ]
-            mean_trace = np.mean([s.trace for s in samples], axis=0)
             out.append(
                 AgentCF(
                     agent=agent,
                     y_fact=y_fact,
-                    y_cf_mean=float(np.mean([s.y_cf for s in samples])),
+                    y_cf_mean=float(np.mean(ep_y)),
                     samples=samples,
-                    critical=critical_timesteps(fact_trace, mean_trace, eps),
+                    critical=critical_timesteps(
+                        fact_trace, np.mean(ep_traces, axis=0), eps
+                    ),
                 )
             )
         return out
@@ -380,11 +423,16 @@ class CounterfactualEngine:
             bad = [i for i in members if not 0 <= i < self.n_agents]
             if bad:
                 raise ConfigError(f"coalition members out of range: {bad}")
-        n = self.n_agents
-        rows = [
-            (e, [j for j in range(n) if j not in members], (0,) * n, 0)
-            for e, members in missing
-        ]
-        for key, (_, y) in zip(missing, self._replay_outcomes(rows)):
-            self._coalitions[key] = y
+        if missing:
+            n, B = self.n_agents, len(missing)
+            baseline = np.ones((B, n), dtype=bool)
+            for b, (_, members) in enumerate(missing):
+                baseline[b, list(members)] = False
+            _, y = self._replay_outcomes(
+                np.array([e for e, _ in missing], dtype=np.int64),
+                baseline,
+                np.zeros((B, n), dtype=np.int64),
+                np.zeros(B, dtype=np.int64),
+            )
+            self._coalitions.update(zip(missing, y.tolist()))
         return [self._coalitions[k] for k in keys]

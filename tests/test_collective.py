@@ -4,6 +4,7 @@ import pytest
 from macie.attribution import CoalitionValues, GameValues, causal_effects
 from macie.collective import (
     EmergenceMetrics,
+    _step_correlations,
     coordination_score,
     discretize_states,
     emergence_metrics,
@@ -132,6 +133,31 @@ def test_coordination_constant_vectors_need_identity():
 
 def test_coordination_needs_two_steps():
     assert coordination_score(history_from_actions([[0, 1]])) == 0.0
+
+
+def _vector_corr_reference(x, y):
+    """One step's correlation, as coordination_score computed it per step."""
+    sx = float(np.std(x))
+    sy = float(np.std(y))
+    if sx < 1e-12 or sy < 1e-12:
+        return 1.0 if np.array_equal(x, y) else 0.0
+    return float(np.mean((x - np.mean(x)) * (y - np.mean(y))) / (sx * sy))
+
+
+def test_step_correlations_match_the_per_step_reference():
+    rng = np.random.default_rng(11)
+    for trial in range(3000):
+        n = int(rng.integers(2, 8))
+        T = int(rng.integers(2, 20))
+        acts = rng.integers(0, int(rng.integers(1, 6)), size=(T, n)).astype(np.float64)
+        if trial % 3 == 0:
+            # constant rows, and repeats of the row before
+            acts[rng.random(T) < 0.3] = float(rng.integers(0, 5))
+            repeat = np.flatnonzero(rng.random(T - 1) < 0.3) + 1
+            acts[repeat] = acts[repeat - 1]
+        got = _step_correlations(acts)
+        want = [_vector_corr_reference(acts[t - 1], acts[t]) for t in range(1, T)]
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
 # -- state discretization -----------------------------------------------------------

@@ -17,6 +17,7 @@ from macie import (
     read_log,
     write_log,
 )
+from macie.core import rewards_outcome, rewards_trace
 
 
 def make_episode(team_rewards, horizon=None, env_name="toy", n_agents=2, seed=0):
@@ -82,6 +83,42 @@ def test_padded_trace_holds_terminal_value():
     assert np.allclose(padded_trace(ep), [1.0, 3.0, 3.0, 3.0, 3.0])
     spec = OutcomeSpec(kind=TERMINAL_SUCCESS)
     assert np.allclose(padded_trace(ep, spec), [0.0, 1.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("kind", ["cumulative_team_reward", TERMINAL_SUCCESS])
+def test_batched_outcomes_equal_each_row_alone(kind):
+    spec = OutcomeSpec(kind)
+    rng = np.random.default_rng(5)
+    H = 9
+    team = rng.normal(size=(40, H)).round(1)
+    team[:5] = -0.0  # sums of negative zeros
+    team[5:10] = rng.choice([0.0, -0.0], size=(5, H))
+    length = rng.integers(1, H + 1, size=40)
+    length[::4] = H  # rows that run to the horizon
+    length[1::7] = 1
+    batch_y = rewards_outcome(team, length, spec)
+    batch_trace = rewards_trace(team, length, spec)
+    for b in range(len(team)):
+        row_y = rewards_outcome(team[b : b + 1], length[b : b + 1], spec)[0]
+        row_trace = rewards_trace(team[b : b + 1], length[b : b + 1], spec)[0]
+        assert batch_y[b].tobytes() == row_y.tobytes()
+        assert batch_trace[b].tobytes() == row_trace.tobytes()
+        # the definitions on one episode: a sum from 0 over the steps that
+        # ran, and the running sum held after the last step
+        L = int(length[b])
+        ep = make_episode(team[b, :L].tolist(), horizon=H)
+        assert episode_outcome(ep, spec) == row_y
+        if kind == "cumulative_team_reward":
+            assert np.float64(sum(team[b, :L].tolist())).tobytes() == row_y.tobytes()
+            held = np.cumsum(team[b, :L])
+            want = np.concatenate([held, np.full(H - L, held[-1])])
+            assert row_trace.tobytes() == want.tobytes()
+        else:
+            assert row_y == (1.0 if L < H else 0.0)
+        assert padded_trace(ep, spec).tobytes() == row_trace.tobytes()
+    if kind == "cumulative_team_reward":
+        assert np.signbit(batch_y[:5]).sum() == 0
+        assert np.signbit(batch_trace[:5]).all()
 
 
 def test_mean_trace_last_entry_equals_history_outcome():

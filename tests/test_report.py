@@ -286,14 +286,23 @@ def test_scm_reports_match_golden_digests(tmp_path, case):
     ids=["traffic_env_resim", "gridworld_scm_rollout"],
 )
 def test_pipeline_derives_each_stream_once(monkeypatch, overrides):
+    # a stream is derived alone by derive_stream or as one row of a batch
+    # drawn by uniform_streams; count the keys of both
     counts = collections.Counter()
     derive = macie.rng.derive_stream
+    batch = macie.rng.uniform_streams
 
     def counting(seed_tree, tag, indices):
         counts[(tag, *indices)] += 1
         return derive(seed_tree, tag, indices)
 
+    def counting_batch(seed_tree, tag, indices, n):
+        for row in np.asarray(indices).tolist():
+            counts[(tag, *row)] += 1
+        return batch(seed_tree, tag, indices, n)
+
     monkeypatch.setattr(macie.rng, "derive_stream", counting)
+    monkeypatch.setattr(macie.rng, "uniform_streams", counting_batch)
     report = run_pipeline(small_config(episodes=12, k=3, **overrides))
     assert max(counts.values()) == 1
     # each episode's start, and every agent's actions at every replicate

@@ -8,6 +8,7 @@ from macie import (
     derive_stream,
     sample_permutations,
 )
+from macie.rng import uniform_streams
 
 
 def test_stream_draws_are_reproducible():
@@ -62,6 +63,34 @@ def test_stream_key_validation():
         t.stream("")
     with pytest.raises(ConfigError):
         t.stream("act", -1)
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 42, 2**32 + 5, 2**64 - 1, -1, 99999999999999999999999]
+)
+def test_uniform_streams_match_derive_stream_bit_for_bit(seed):
+    t = SeedTree(seed)
+    rng = np.random.default_rng(seed % 1000)
+    for tag in ("act", "env", "bootstrap"):
+        for m in (1, 2, 3):
+            idx = rng.integers(0, 2**32, size=(6, m))
+            idx[0], idx[1] = 0, 2**32 - 1
+            for n in (1, 2, 3, 4, 5, 36, 108):
+                got = uniform_streams(t, tag, idx, n)
+                assert got.shape == (len(idx), n)
+                for row, key in zip(got, idx.tolist()):
+                    want = derive_stream(t, tag, key).random(n)
+                    assert row.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_uniform_streams_key_validation():
+    t = SeedTree(1)
+    with pytest.raises(ConfigError):
+        uniform_streams(t, "", [[0]], 4)
+    with pytest.raises(ConfigError):
+        uniform_streams(t, "act", [[0, -1]], 4)
+    with pytest.raises(ConfigError):
+        uniform_streams(t, "act", [[2**32, 0]], 4)
 
 
 def test_sample_permutations_blocks_cover_every_order():
