@@ -43,12 +43,9 @@ from .core import (
     MacieError,
     OutcomeSpec,
     Step,
-    cumulative_trace,
-    episode_outcome,
-    mean_trace,
-    outcome,
-    padded_trace,
     read_log,
+    rewards_outcome,
+    rewards_trace,
     write_log,
 )
 from .counterfactual import (
@@ -120,26 +117,23 @@ __all__ = [
     "contribution_percentages",
     "coordination_score",
     "critical_timesteps",
-    "cumulative_trace",
     "default_alphas",
     "default_policies",
     "derive_stream",
     "efficiency_gap",
     "emergence_metrics",
     "env_description",
-    "episode_outcome",
     "explanation_from_report",
     "information_integration",
     "list_envs",
     "make_env",
-    "mean_trace",
     "normalize_contributions",
-    "outcome",
-    "padded_trace",
     "pairwise_conditional_mi",
     "rank_agents",
     "read_log",
     "read_report",
+    "rewards_outcome",
+    "rewards_trace",
     "run_pipeline",
     "sample_permutations",
     "shapley_exact",

@@ -17,7 +17,7 @@ from math import factorial
 
 import numpy as np
 
-from .core import ConfigError, MacieError
+from .core import ConfigError, MacieError, rewards_outcome, rewards_trace
 
 EXACT_SHAPLEY_LIMIT = 12
 
@@ -129,13 +129,10 @@ def effects_from_interventions(engine, grid):
 
     n = len(grid)
     n_episodes = len(grid[0])
-    y_fact_pe = np.array([engine.factual_outcome(e) for e in range(n_episodes)])
+    facts = engine.factuals(range(n_episodes))
+    y_fact_pe = rewards_outcome(facts.team, facts.length, engine.outcome)
     fact_trace = np.mean(
-        [
-            np.asarray(_padded_fact_trace(engine, e), dtype=np.float64)
-            for e in range(n_episodes)
-        ],
-        axis=0,
+        rewards_trace(facts.team, facts.length, engine.outcome), axis=0
     )
     y_cf_pe = np.zeros((n, n_episodes))
     cf_traces = np.zeros((n, len(fact_trace)))
@@ -168,12 +165,6 @@ def causal_effects(engine, n_episodes, n_samples, mapper=map):
     """Naive counterfactual effects in one call; see the two halves above."""
     grid = run_interventions(engine, n_episodes, n_samples, mapper)
     return effects_from_interventions(engine, grid)
-
-
-def _padded_fact_trace(engine, e):
-    from .core import padded_trace
-
-    return padded_trace(engine.factual(e), engine.outcome)
 
 
 # -- Shapley ------------------------------------------------------------------

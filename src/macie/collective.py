@@ -53,31 +53,36 @@ def synergy_index(values):
 
 
 def _step_correlations(acts):
-    """Correlation of each joint action ``acts[t]`` with the next, ``[T - 1]``.
+    """Correlation of each joint action ``acts[..., t, :]`` with the next.
 
-    A constant row carries no spread to correlate: the pair counts as fully
-    coordinated (1.0) only when the two rows are identical, else 0.0.
+    ``acts[..., T, n]`` gives ``[..., T - 1]``. A constant row carries no
+    spread to correlate: the pair counts as fully coordinated (1.0) only
+    when the two rows are identical, else 0.0.
     """
-    x, y = acts[:-1], acts[1:]
-    sx, sy = np.std(x, axis=1), np.std(y, axis=1)
+    x, y = acts[..., :-1, :], acts[..., 1:, :]
+    sx, sy = np.std(x, axis=-1), np.std(y, axis=-1)
     cov = np.mean(
-        (x - np.mean(x, axis=1, keepdims=True))
-        * (y - np.mean(y, axis=1, keepdims=True)),
-        axis=1,
+        (x - np.mean(x, axis=-1, keepdims=True))
+        * (y - np.mean(y, axis=-1, keepdims=True)),
+        axis=-1,
     )
     flat = (sx < 1e-12) | (sy < 1e-12)
-    same = np.all(x == y, axis=1).astype(np.float64)
+    same = np.all(x == y, axis=-1).astype(np.float64)
     return np.where(flat, same, cov / np.where(flat, 1.0, sx * sy))
 
 
 def coordination_score(history):
-    """Mean correlation between consecutive joint-action vectors."""
-    per_episode = []
-    for ep in history.episodes:
-        if len(ep.steps) < 2:
-            continue
-        acts = np.array([s.joint_action for s in ep.steps], dtype=np.float64)
-        per_episode.append(float(np.mean(_step_correlations(acts))))
+    """Mean correlation between consecutive joint-action vectors.
+
+    Each episode of two or more steps scores the mean over its own steps;
+    the score is the mean over those episodes.
+    """
+    corr = _step_correlations(history.actions.astype(np.float64))
+    per_episode = [
+        float(np.mean(c[: L - 1]))
+        for c, L in zip(corr, history.length.tolist())
+        if L >= 2
+    ]
     if not per_episode:
         return 0.0
     return float(np.mean(per_episode))
@@ -118,16 +123,11 @@ def _conditional_mi(sig, x, y):
 
 def pairwise_conditional_mi(history, n_bins=DEFAULT_N_BINS):
     """I(a_i; a_j | discretized state) for every agent pair, in nats."""
-    states = []
-    actions = []
-    for ep in history.episodes:
-        for step in ep.steps:
-            states.append(np.asarray(step.state, dtype=np.float64))
-            actions.append(np.asarray(step.joint_action, dtype=np.int64))
-    if not states:
+    ran = np.arange(history.horizon) < history.length[:, None]
+    if not ran.any():
         raise ConfigError("history has no steps")
-    sig = discretize_states(np.asarray(states), n_bins)
-    A = np.asarray(actions)
+    sig = discretize_states(history.states[:, :-1][ran], n_bins)
+    A = history.actions[ran]
     n = history.n_agents
     out = np.zeros((n, n))
     sig_t = [int(v) for v in sig]

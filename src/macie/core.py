@@ -1,23 +1,39 @@
-"""Episode containers, outcome definitions and the episode log format.
+"""Episode histories, outcome definitions and the episode log format.
 
-A :class:`History` is an ordered list of :class:`Episode` objects recorded
-from one environment under one joint policy.  Each episode stores the full
-step sequence (state, joint action, per-agent rewards, team reward) plus the
-state reached after the final step, which downstream model fitting uses.
+A :class:`History` holds the episodes recorded from one environment under
+one joint policy as arrays with one row per episode, the layout a batched
+rollout returns, over a horizon ``T`` shared by every episode:
+
+- ``states[E, T+1, D]``: the state before each step; the state reached
+  after the last step sits at ``states[e, length[e]]``;
+- ``actions[E, T, n]``, ``rewards[E, T, n]``, ``team[E, T]``: each step's
+  joint action, per-agent rewards and team reward;
+- ``length[E]``: the steps an episode ran, at most ``T``;
+- ``seeds[E]``: each episode's seed index, and ``has_final[E]``: whether its
+  final state is known (a log may leave it out).
+
+Entries after an episode's last step (and its final state) are zero, so
+consumers index or mask the arrays. :attr:`History.episodes` offers a
+per-episode view for callers that want objects.
 
 The team outcome ``Y`` of an episode is defined by an :class:`OutcomeSpec`:
-either the cumulative team reward or a terminal success indicator.  For a
-history, ``Y`` is the mean over its episodes.
+either the cumulative team reward or a terminal success indicator;
+:func:`rewards_outcome` and :func:`rewards_trace` compute it and its trace
+from ``team`` and ``length``.
 
 Logs are line-delimited text: one header line naming the environment, agent
 count, horizon and state-feature layout, then per-episode blocks of records
-``t <TAB> state_csv <TAB> action_csv <TAB> reward_csv``.  Floats are written
-with ``repr`` so a write/read round trip is bit-exact.
+``t <TAB> state_csv <TAB> action_csv <TAB> reward_csv``, each block opened
+by ``#episode <TAB> index <TAB> seed`` and closed by an optional
+``#final <TAB> state_csv``.  Floats are written with ``repr`` so a
+write/read round trip is bit-exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +49,6 @@ class ConfigError(MacieError):
 CUMULATIVE_TEAM_REWARD = "cumulative_team_reward"
 TERMINAL_SUCCESS = "terminal_success_indicator"
 OUTCOME_KINDS = (CUMULATIVE_TEAM_REWARD, TERMINAL_SUCCESS)
-_OUTCOME_KINDS = OUTCOME_KINDS
 
 
 @dataclass(frozen=True)
@@ -43,15 +58,14 @@ class OutcomeSpec:
     kind: str = CUMULATIVE_TEAM_REWARD
 
     def __post_init__(self):
-        if self.kind not in _OUTCOME_KINDS:
+        if self.kind not in OUTCOME_KINDS:
             raise ConfigError(
-                f"unknown outcome kind {self.kind!r}; valid: {list(_OUTCOME_KINDS)}"
+                f"unknown outcome kind {self.kind!r}; valid: {list(OUTCOME_KINDS)}"
             )
 
 
-@dataclass(frozen=True)
-class Step:
-    """One timestep: state observed, joint action taken, rewards received."""
+class Step(NamedTuple):
+    """One step of an episode view: state, joint action, rewards received."""
 
     state: np.ndarray
     joint_action: np.ndarray
@@ -59,62 +73,77 @@ class Step:
     team_reward: float
 
 
-@dataclass
-class Episode:
-    """One rollout of at most ``horizon`` steps."""
+class Episode(NamedTuple):
+    """Read-only view of one episode of a :class:`History`."""
 
-    steps: list
-    env_name: str
     seed: int
-    horizon: int
-    final_state: np.ndarray | None = None
+    steps: tuple
+    final_state: np.ndarray | None
 
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError("episode horizon must be >= 1")
-        if len(self.steps) > self.horizon:
-            raise MacieError("episode longer than its horizon")
 
-    @property
-    def n_agents(self) -> int:
-        if not self.steps:
-            raise MacieError("episode has no steps")
-        return len(self.steps[0].joint_action)
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
+# per-episode arrays of a History, indexed alike by episode
+_EPISODE_ARRAYS = (
+    "states", "actions", "rewards", "team", "length", "seeds", "has_final"
+)
 
 
 @dataclass
 class History:
-    """Episodes recorded from one environment under one joint policy."""
+    """Episodes recorded from one environment under one joint policy.
 
-    episodes: list = field(default_factory=list)
-    feature_names: list | None = None
+    Arrays as a batched rollout returns them, one row per episode; see the
+    module docstring. ``seeds`` defaults to the row index and ``has_final``
+    to all True.
+    """
+
+    env_name: str
+    feature_names: list | None
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    team: np.ndarray
+    length: np.ndarray
+    seeds: np.ndarray | None = None
+    has_final: np.ndarray | None = None
 
     def __post_init__(self):
-        names = {e.env_name for e in self.episodes}
-        if len(names) > 1:
-            raise MacieError(f"mixed environments in history: {sorted(names)}")
-        counts = {e.n_agents for e in self.episodes}
-        if len(counts) > 1:
-            raise MacieError("episodes disagree on agent count")
+        if self.seeds is None:
+            self.seeds = np.arange(len(self.length), dtype=np.int64)
+        if self.has_final is None:
+            self.has_final = np.ones(len(self.length), dtype=bool)
 
     def __len__(self) -> int:
-        return len(self.episodes)
+        return len(self.length)
 
     @property
     def n_agents(self) -> int:
-        if not self.episodes:
-            raise MacieError("empty history")
-        return self.episodes[0].n_agents
+        return self.actions.shape[2]
 
     @property
-    def env_name(self) -> str:
-        if not self.episodes:
-            raise MacieError("empty history")
-        return self.episodes[0].env_name
+    def horizon(self) -> int:
+        return self.actions.shape[1]
+
+    def take(self, rows) -> History:
+        """The episodes at ``rows`` (indices or a slice), as a history."""
+        return replace(self, **{f: getattr(self, f)[rows] for f in _EPISODE_ARRAYS})
+
+    @property
+    def episodes(self) -> tuple:
+        """One :class:`Episode` view per row, built on each access."""
+        views = []
+        for e, L in enumerate(self.length.tolist()):
+            steps = tuple(
+                Step(
+                    self.states[e, t],
+                    self.actions[e, t],
+                    self.rewards[e, t],
+                    float(self.team[e, t]),
+                )
+                for t in range(L)
+            )
+            final = self.states[e, L] if self.has_final[e] else None
+            views.append(Episode(int(self.seeds[e]), steps, final))
+        return tuple(views)
 
 
 def rewards_outcome(team, length, spec: OutcomeSpec = OutcomeSpec()) -> np.ndarray:
@@ -149,52 +178,6 @@ def rewards_trace(team, length, spec: OutcomeSpec = OutcomeSpec()) -> np.ndarray
     return np.where(steps >= last, rewards_outcome(team, length, spec)[:, None], 0.0)
 
 
-def _episode_rewards(episode: Episode):
-    """``team[1, horizon]`` and ``length[1]`` of one episode."""
-    if not episode.steps:
-        raise MacieError("episode has no steps")
-    team = np.zeros((1, episode.horizon))
-    team[0, : episode.length] = [s.team_reward for s in episode.steps]
-    return team, [episode.length]
-
-
-def episode_outcome(episode: Episode, spec: OutcomeSpec = OutcomeSpec()) -> float:
-    """Scalar team outcome of one episode."""
-    return float(rewards_outcome(*_episode_rewards(episode), spec)[0])
-
-
-def outcome(history_or_episode, spec: OutcomeSpec = OutcomeSpec()) -> float:
-    """Outcome of an episode, or the mean outcome over a history's episodes."""
-    if isinstance(history_or_episode, Episode):
-        return episode_outcome(history_or_episode, spec)
-    hist = history_or_episode
-    if not hist.episodes:
-        raise MacieError("cannot compute outcome of an empty history")
-    return float(np.mean([episode_outcome(e, spec) for e in hist.episodes]))
-
-
-def cumulative_trace(episode: Episode) -> np.ndarray:
-    """Running cumulative team reward; entry t is the partial outcome after step t+1.
-
-    The last entry equals the episode's cumulative outcome.
-    """
-    if not episode.steps:
-        raise MacieError("episode has no steps")
-    return np.cumsum([s.team_reward for s in episode.steps])
-
-
-def padded_trace(episode: Episode, spec: OutcomeSpec = OutcomeSpec()) -> np.ndarray:
-    """Outcome trace padded to the episode horizon; see :func:`rewards_trace`."""
-    return rewards_trace(*_episode_rewards(episode), spec)[0]
-
-
-def mean_trace(history: History, spec: OutcomeSpec = OutcomeSpec()) -> np.ndarray:
-    """Mean padded trace over a history; last entry equals ``outcome(history)``."""
-    if not history.episodes:
-        raise MacieError("cannot compute trace of an empty history")
-    return np.mean([padded_trace(e, spec) for e in history.episodes], axis=0)
-
-
 # ---------------------------------------------------------------------------
 # Episode log format (version 1)
 
@@ -203,43 +186,52 @@ _LOG_VERSION = "v1"
 
 
 def _fmt_floats(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
-def _fmt_ints(values) -> str:
-    return ",".join(str(int(v)) for v in values)
+    return ",".join(map(repr, values))
 
 
 def write_log(history: History, path) -> None:
     """Write a history in the line-delimited episode log format."""
-    if not history.episodes:
+    if not len(history):
         raise MacieError("refusing to write an empty history")
-    first = history.episodes[0]
-    n = history.n_agents
-    feat = history.feature_names or [
-        f"x{i}" for i in range(len(first.steps[0].state))
-    ]
+    feat = history.feature_names or [f"x{i}" for i in range(history.states.shape[2])]
     lines = [
         f"{_LOG_MAGIC} {_LOG_VERSION}\tenv={history.env_name}"
-        f"\tn_agents={n}\thorizon={first.horizon}\tfeatures={','.join(feat)}"
+        f"\tn_agents={history.n_agents}\thorizon={history.horizon}"
+        f"\tfeatures={','.join(feat)}"
     ]
-    for idx, ep in enumerate(history.episodes):
-        lines.append(f"#episode\t{idx}\t{ep.seed}")
-        for t, step in enumerate(ep.steps, start=1):
-            lines.append(
-                f"{t}\t{_fmt_floats(step.state)}\t{_fmt_ints(step.joint_action)}"
-                f"\t{_fmt_floats(list(step.rewards) + [step.team_reward])}"
-            )
-        if ep.final_state is not None:
-            lines.append(f"#final\t{_fmt_floats(ep.final_state)}")
+    # one reward row per step: each agent's reward, then the team reward
+    rewards = np.concatenate([history.rewards, history.team[..., None]], axis=2)
+    for e, (seed, L, final) in enumerate(
+        zip(history.seeds.tolist(), history.length.tolist(), history.has_final)
+    ):
+        states, actions = history.states[e].tolist(), history.actions[e].tolist()
+        lines.append(f"#episode\t{e}\t{seed}")
+        lines.extend(
+            f"{t + 1}\t{_fmt_floats(states[t])}\t{','.join(map(str, actions[t]))}"
+            f"\t{_fmt_floats(r)}"
+            for t, r in enumerate(rewards[e, :L].tolist())
+        )
+        if final:
+            lines.append(f"#final\t{_fmt_floats(states[L])}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+@dataclass
+class _Block:
+    """One episode of a log being read."""
+
+    seed: int
+    line: int | None  # of its ``#episode`` line; None before the first one
+    steps: int = 0
+    final: list | None = None
 
 
 def read_log(path) -> History:
     """Read a history written by :func:`write_log`; round trip is bit-exact.
 
     A malformed log raises :class:`MacieError` naming the offending line.
+    Records before the first ``#episode`` line form an episode of seed 0.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
@@ -264,66 +256,96 @@ def read_log(path) -> History:
         raise MacieError(
             f"{path}, line {header_no}: malformed log header ({exc})"
         ) from None
-
-    episodes: list[Episode] = []
-    steps: list[Step] = []
-    final_state = None
-    seed = 0
-
-    def flush():
-        if steps:
-            episodes.append(
-                Episode(
-                    steps=list(steps),
-                    env_name=env_name,
-                    seed=seed,
-                    horizon=horizon,
-                    final_state=final_state,
-                )
-            )
+    if horizon < 1:
+        raise MacieError(
+            f"{path}, line {header_no}: log horizon must be >= 1, got {horizon}"
+        )
+    D = len(feature_names)
 
     def floats(field, no, count, what):
-        values = np.array([float(v) for v in field.split(",")])
+        values = [float(v) for v in field.split(",")]
         if len(values) != count:
             raise MacieError(
                 f"{path}, line {no}: {what} has {len(values)} fields, "
                 f"the header implies {count}"
             )
-        if not np.isfinite(values).all():
+        if not all(map(math.isfinite, values)):
             raise MacieError(f"{path}, line {no}: {what} is not finite")
         return values
+
+    blocks = []
+    block = _Block(seed=0, line=None)
+    states, actions, rewards = [], [], []
+
+    def close(block):
+        if block.steps:
+            blocks.append(block)
+        elif block.line is not None:
+            raise MacieError(f"{path}, line {block.line}: episode has no records")
 
     for no, line in raw[1:]:
         parts = line.split("\t")
         try:
             if parts[0] == "#episode":
-                flush()
-                steps, final_state = [], None
-                seed = int(parts[2])
+                close(block)
+                block = _Block(seed=np.int64(int(parts[2])), line=no)
                 continue
             if parts[0] == "#final":
-                final_state = floats(parts[1], no, len(feature_names), "state")
+                if not block.steps:
+                    raise MacieError(
+                        f"{path}, line {no}: #final before any record of its episode"
+                    )
+                if block.final is not None:
+                    raise MacieError(f"{path}, line {no}: second #final in one episode")
+                block.final = floats(parts[1], no, D, "state")
                 continue
-            state = floats(parts[1], no, len(feature_names), "state")
-            actions = np.array([int(v) for v in parts[2].split(",")], dtype=np.int64)
+            state = floats(parts[1], no, D, "state")
+            acts = np.array([int(v) for v in parts[2].split(",")], dtype=np.int64)
             rew = floats(parts[3], no, n_agents + 1, "rewards")
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, OverflowError) as exc:
             raise MacieError(f"{path}, line {no}: malformed record ({exc})") from None
-        if len(actions) != n_agents:
+        if block.final is not None:
+            raise MacieError(f"{path}, line {no}: record after the episode's #final")
+        if block.steps == horizon:
+            raise MacieError(
+                f"{path}, line {no}: episode runs past its horizon of {horizon} steps"
+            )
+        if len(acts) != n_agents:
             raise MacieError(
                 f"{path}, line {no}: record disagrees with header agent count"
             )
-        if (actions < 0).any():
+        if (acts < 0).any():
             raise MacieError(f"{path}, line {no}: negative action")
-        steps.append(
-            Step(
-                state=state,
-                joint_action=actions,
-                rewards=rew[:-1],
-                team_reward=float(rew[-1]),
-            )
-        )
-    flush()
-    if not episodes:
+        block.steps += 1
+        states.append(state)
+        actions.append(acts)
+        rewards.append(rew)
+    close(block)
+    if not blocks:
         raise MacieError(f"log contains no episodes: {path}")
-    return History(episodes=episodes, feature_names=feature_names)
+
+    E = len(blocks)
+    length = np.array([b.steps for b in blocks], dtype=np.int64)
+    # the (episode, step) of each record, in file order
+    ep = np.repeat(np.arange(E), length)
+    t = np.arange(len(ep)) - np.repeat(np.cumsum(length) - length, length)
+    has_final = np.array([b.final is not None for b in blocks])
+    S = np.zeros((E, horizon + 1, D))
+    S[ep, t] = states
+    finals = [b.final for b in blocks if b.final is not None]
+    S[has_final, length[has_final]] = np.reshape(finals, (-1, D))
+    A = np.zeros((E, horizon, n_agents), dtype=np.int64)
+    A[ep, t] = actions
+    R = np.zeros((E, horizon, n_agents + 1))
+    R[ep, t] = rewards
+    return History(
+        env_name=env_name,
+        feature_names=feature_names,
+        states=S,
+        actions=A,
+        rewards=R[..., :-1].copy(),
+        team=R[..., -1].copy(),
+        length=length,
+        seeds=np.array([b.seed for b in blocks], dtype=np.int64),
+        has_final=has_final,
+    )

@@ -19,6 +19,11 @@ Two propagation modes: ``env_resim`` replays through the real simulator;
 ``scm_rollout`` replays through the fitted structural model, which also
 works for ingested histories with no simulator attached.
 
+Factual episodes are rows of a :class:`macie.core.History`: an ingested
+history is indexed, and simulated episodes are kept per engine as their
+rows of the batched rollout, so each is simulated once. Factual outcomes,
+traces, start states and first joint actions are read off those arrays.
+
 A replay is a row: an episode, the agents swapped to the baseline policy,
 each agent's replicate and the environment's replicate, held as arrays over
 a row axis. The replays of each intervened agent form one set of rows over
@@ -48,13 +53,9 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    Episode,
     History,
     MacieError,
     OutcomeSpec,
-    Step,
-    episode_outcome,
-    padded_trace,
     rewards_outcome,
     rewards_trace,
 )
@@ -129,12 +130,6 @@ class CounterfactualEngine:
             )
         if epsilon_frac <= 0:
             raise ConfigError(f"epsilon_frac must be > 0, got {epsilon_frac}")
-        if history is not None and env is None:
-            horizons = {ep.horizon for ep in history.episodes}
-            if len(horizons) > 1:
-                raise MacieError(
-                    f"ingested episodes disagree on horizon: {sorted(horizons)}"
-                )
         self.tree = seed_tree
         self.outcome = outcome
         self.env = env
@@ -144,7 +139,9 @@ class CounterfactualEngine:
         self.scm = scm
         self.baseline = baseline if baseline is not None else BaselinePolicy()
         self.epsilon_frac = epsilon_frac
-        self._factual: dict[int, Episode] = {}
+        # simulated factual episodes: episode -> its rollout row
+        # (states, actions, rewards, team, length)
+        self._factual: dict[int, tuple] = {}
         self._coalitions: dict[tuple, float] = {}
         # draws several rows read, by stream key: episode -> start state,
         # episode -> replicate-0 action uniforms [T, n, 2],
@@ -167,7 +164,7 @@ class CounterfactualEngine:
     def horizon(self):
         if self.env is not None:
             return self.env.horizon
-        return self.history.episodes[0].horizon
+        return self.history.horizon
 
     @property
     def n_actions(self):
@@ -178,52 +175,46 @@ class CounterfactualEngine:
     # -- factual episodes ------------------------------------------------------
 
     def factual(self, e):
-        return self.factuals([e])[0]
+        return self.factuals([e])
 
     def factuals(self, episodes):
-        """Factual episodes by index; the uncached ones simulate as one batch."""
+        """Factual episodes by index, as the rows of a :class:`History`.
+
+        An ingested history is indexed; simulated episodes are kept per
+        engine, and the uncached ones simulate as one batch.
+        """
+        episodes = list(episodes)
+        if self.history is not None:
+            return self.history.take(episodes)
         missing = [e for e in dict.fromkeys(episodes) if e not in self._factual]
-        if missing and self.history is not None:
-            for e in missing:
-                self._factual[e] = self.history.episodes[e]
-        elif missing:
+        if missing:
             n, B = self.n_agents, len(missing)
-            states, actions, rewards, team, length = self._replay(
+            run = self._replay(
                 np.array(missing, dtype=np.int64),
                 np.zeros((B, n), dtype=bool),
                 np.zeros((B, n), dtype=np.int64),
                 np.zeros(B, dtype=np.int64),
             )
             for b, e in enumerate(missing):
-                L = int(length[b])
-                steps = [
-                    Step(
-                        state=states[b, t].copy(),
-                        joint_action=actions[b, t].copy(),
-                        rewards=rewards[b, t].copy(),
-                        team_reward=float(team[b, t]),
-                    )
-                    for t in range(L)
-                ]
-                self._factual[e] = Episode(
-                    steps=steps,
-                    env_name=self.env.name,
-                    seed=e,
-                    horizon=self.env.horizon,
-                    final_state=states[b, L].copy(),
-                )
-        return [self._factual[e] for e in episodes]
+                self._factual[e] = [a[b] for a in run]
+        rows = [self._factual[e] for e in episodes]
+        return History(
+            self.env.name,
+            list(self.env.feature_names),
+            *(np.array(a) for a in zip(*rows)),
+            seeds=np.array(episodes, dtype=np.int64),
+        )
 
     def factual_outcome(self, e):
-        return episode_outcome(self.factual(e), self.outcome)
+        fact = self.factual(e)
+        return float(rewards_outcome(fact.team, fact.length, self.outcome)[0])
 
     def generate_history(self, n_episodes):
         if self.env is None:
             raise MacieError("no environment attached; cannot generate episodes")
-        eps = self.factuals(range(n_episodes))
-        return History(
-            episodes=eps, feature_names=list(self.env.feature_names)
-        )
+        if n_episodes < 1:
+            raise ConfigError(f"need at least one episode, got {n_episodes}")
+        return self.factuals(range(n_episodes))
 
     # -- simulation --------------------------------------------------------------
 
@@ -326,8 +317,7 @@ class CounterfactualEngine:
             raise MacieError("scm_rollout mode needs a fitted structural model")
         T, n, B = self.horizon, self.n_agents, len(episodes)
         facts = self.factuals(episodes.tolist())
-        S = np.array([f.steps[0].state for f in facts], dtype=np.float64)
-        PA = np.array([f.steps[0].joint_action for f in facts], dtype=np.int64)
+        S, PA = facts.states[:, 0], facts.actions[:, 0]
         u = self._act_uniforms(episodes, reps)[..., 1]
         drawn = (u * scm.n_actions).astype(np.int64)
         rewards = np.empty((B, T))
@@ -370,10 +360,10 @@ class CounterfactualEngine:
         traces, y_cf = self._replay_outcomes(
             np.repeat(np.array(episodes, dtype=np.int64), K), baseline, reps, samples_k
         )
+        y_facts = rewards_outcome(facts.team, facts.length, self.outcome).tolist()
+        fact_traces = rewards_trace(facts.team, facts.length, self.outcome)
         out = []
-        for i, fact in enumerate(facts):
-            y_fact = episode_outcome(fact, self.outcome)
-            fact_trace = padded_trace(fact, self.outcome)
+        for i, (y_fact, fact_trace) in enumerate(zip(y_facts, fact_traces)):
             eps = self.epsilon(y_fact)
             ep_traces, ep_y = traces[i * K : (i + 1) * K], y_cf[i * K : (i + 1) * K]
             # critical steps of every sample from one comparison: the

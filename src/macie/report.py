@@ -255,16 +255,12 @@ def _setup(config, history):
             raise ConfigError(
                 "ingested histories have no simulator; use mode scm_rollout"
             )
-        episodes = config.episodes or len(history.episodes)
-        if episodes > len(history.episodes):
+        episodes = config.episodes or len(history)
+        if episodes > len(history):
             raise ConfigError(
-                f"asked for {episodes} episodes but the log has "
-                f"{len(history.episodes)}"
+                f"asked for {episodes} episodes but the log has {len(history)}"
             )
-        hist = History(
-            episodes=history.episodes[:episodes],
-            feature_names=history.feature_names,
-        )
+        hist = history.take(slice(episodes))
         engine = CounterfactualEngine(
             tree,
             outcome,

@@ -28,7 +28,7 @@ import json
 
 import numpy as np
 
-from .core import ConfigError, MacieError, OutcomeSpec, episode_outcome
+from .core import ConfigError, MacieError, OutcomeSpec, rewards_outcome
 from .trees import TreeEnsemble
 
 MIN_SAMPLES = 10
@@ -171,30 +171,23 @@ def _equation_from_dict(data):
 
 
 def _assemble_rows(history):
-    """Pool (state, prev action, action, next state, reward) rows over episodes."""
-    S, PA, A, NS, R = [], [], [], [], []
-    for ep in history.episodes:
-        steps = ep.steps
-        for t in range(1, len(steps)):
-            if t + 1 < len(steps):
-                ns = steps[t + 1].state
-            elif ep.final_state is not None:
-                ns = ep.final_state
-            else:
-                continue
-            S.append(steps[t].state)
-            PA.append(steps[t - 1].joint_action)
-            A.append(steps[t].joint_action)
-            NS.append(ns)
-            R.append(steps[t].team_reward)
-    if not S:
+    """Pool (state, prev action, action, next state, reward) rows over episodes.
+
+    Step ``t`` of an episode gives a row when it has a previous step and a
+    known next state: ``1 <= t < length - 1``, or ``t = length - 1`` too
+    where the final state is known. Rows run episode by episode.
+    """
+    t = np.arange(history.horizon)
+    usable = (t >= 1) & (t + 1 < (history.length + history.has_final)[:, None])
+    e, t = np.nonzero(usable)
+    if not len(e):
         raise MacieError("history has no usable transitions (episodes too short)")
     return (
-        np.asarray(S, dtype=np.float64),
-        np.asarray(PA, dtype=np.int64),
-        np.asarray(A, dtype=np.int64),
-        np.asarray(NS, dtype=np.float64),
-        np.asarray(R, dtype=np.float64),
+        history.states[e, t],
+        history.actions[e, t - 1],
+        history.actions[e, t],
+        history.states[e, t + 1],
+        history.team[e, t],
     )
 
 
@@ -510,11 +503,8 @@ class StructuralCausalModel:
 
 def _episode_sums(history, outcome):
     """Per-episode team-reward sums and outcomes, the data of node ``y``."""
-    sum_r = np.array(
-        [sum(s.team_reward for s in ep.steps) for ep in history.episodes]
-    )
-    ys = np.array([episode_outcome(ep, outcome) for ep in history.episodes])
-    return sum_r, ys
+    sum_r = rewards_outcome(history.team, history.length, OutcomeSpec())
+    return sum_r, rewards_outcome(history.team, history.length, outcome)
 
 
 def _r_squared(target, pred):

@@ -2,9 +2,36 @@
 
 import numpy as np
 
-from macie import Episode, History, Step
+from macie import History
+from macie.core import _EPISODE_ARRAYS
 
 DIRS = np.array([[0.0, 1.0], [0.0, -1.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+
+
+def full_history(env_name, feature_names, states, actions, team, rewards=None):
+    """History of episodes that all run the whole horizon ``actions.shape[1]``.
+
+    ``states[E, T+1, D]`` includes each final state; per-agent rewards
+    default to zero.
+    """
+    E, T, n = actions.shape
+    return History(
+        env_name=env_name,
+        feature_names=feature_names,
+        states=np.asarray(states, dtype=np.float64),
+        actions=np.asarray(actions, dtype=np.int64),
+        rewards=np.zeros((E, T, n)) if rewards is None else rewards,
+        team=np.asarray(team, dtype=np.float64),
+        length=np.full(E, T, dtype=np.int64),
+    )
+
+
+def same_arrays(a, b):
+    """Whether two histories hold the same per-episode arrays, bit for bit."""
+    return all(
+        (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        for x, y in ((getattr(a, f), getattr(b, f)) for f in _EPISODE_ARRAYS)
+    )
 
 
 def nav_history(seed, episodes=30, horizon=15):
@@ -18,13 +45,14 @@ def nav_history(seed, episodes=30, horizon=15):
     """
     rng = np.random.default_rng(seed)
     alphas = (0.70, 0.75, 0.80)
-    eps = []
     names = [f"p{i}{c}" for i in range(3) for c in "xy"]
+    states = np.zeros((episodes, horizon + 1, 6))
+    actions = np.zeros((episodes, horizon, 3), dtype=np.int64)
+    team = np.zeros((episodes, horizon))
     for e in range(episodes):
         lm = rng.random((3, 2))
         pos = rng.random((3, 2))
-        steps = []
-        for _ in range(horizon):
+        for t in range(horizon):
             acts = np.zeros(3, dtype=np.int64)
             for i in range(3):
                 near = lm[np.argmin(np.abs(lm - pos[i]).sum(axis=1))]
@@ -38,25 +66,13 @@ def nav_history(seed, episodes=30, horizon=15):
                     acts[i] = rng.integers(0, 5)
             new = 0.5 + 0.3 * (pos - 0.5) + 0.25 * DIRS[acts]
             r = -sum(float(np.abs(new - l).sum(axis=1).min()) for l in lm)
-            steps.append(
-                Step(
-                    state=pos.reshape(-1).copy(),
-                    joint_action=acts,
-                    rewards=np.full(3, r / 3.0),
-                    team_reward=r,
-                )
-            )
+            states[e, t] = pos.reshape(-1)
+            actions[e, t] = acts
+            team[e, t] = r
             pos = new
-        eps.append(
-            Episode(
-                steps=steps,
-                env_name="navsynth",
-                seed=e,
-                horizon=horizon,
-                final_state=pos.reshape(-1).copy(),
-            )
-        )
-    return History(episodes=eps, feature_names=names)
+        states[e, horizon] = pos.reshape(-1)
+    rewards = np.repeat(team[..., None] / 3.0, 3, axis=2)
+    return full_history("navsynth", names, states, actions, team, rewards)
 
 
 def action_history(seed, mode, episodes=50, horizon=20):
@@ -66,30 +82,14 @@ def action_history(seed, mode, episodes=50, horizon=20):
     draw into all three agents, so every pair shares exactly ln(5) nats.
     """
     rng = np.random.default_rng(seed)
-    state = np.zeros(2)
-    eps = []
+    actions = np.zeros((episodes, horizon, 3), dtype=np.int64)
     for e in range(episodes):
-        steps = []
-        for _ in range(horizon):
+        for t in range(horizon):
             if mode == "independent":
-                acts = rng.integers(0, 5, size=3)
+                actions[e, t] = rng.integers(0, 5, size=3)
             else:
-                acts = np.full(3, rng.integers(0, 5))
-            steps.append(
-                Step(
-                    state=state.copy(),
-                    joint_action=acts.astype(np.int64),
-                    rewards=np.zeros(3),
-                    team_reward=0.0,
-                )
-            )
-        eps.append(
-            Episode(
-                steps=steps,
-                env_name="synthetic",
-                seed=e,
-                horizon=horizon,
-                final_state=state.copy(),
-            )
-        )
-    return History(episodes=eps, feature_names=["f0", "f1"])
+                actions[e, t] = rng.integers(0, 5)
+    states = np.zeros((episodes, horizon + 1, 2))
+    return full_history(
+        "synthetic", ["f0", "f1"], states, actions, np.zeros((episodes, horizon))
+    )

@@ -114,6 +114,11 @@ def _edit_field(column, edit):
     return corrupt
 
 
+def _final(record):
+    """A ``#final`` line holding the state of ``record``."""
+    return "#final\t" + record.split("\t")[1]
+
+
 @pytest.mark.parametrize(
     "line, corrupt",
     [
@@ -124,6 +129,15 @@ def _edit_field(column, edit):
         (3, _edit_field(1, lambda v: v[:-1])),  # fewer values than features=
         (4, _edit_field(1, lambda v: v[:-1] + ["inf"])),
         (4, _edit_field(2, lambda v: ["-1"] + v[1:])),
+        (4, _edit_field(2, lambda v: ["9" * 30] + v[1:])),  # past int64
+        (2, lambda text: text + "9" * 30),  # an episode seed past int64
+        (1, lambda text: text.replace("horizon=18", "horizon=0")),
+        (1, lambda text: text.replace("horizon=18", "horizon=-3")),
+        (3, _final),  # the first record of an episode becomes its #final
+        (2, lambda text: "#final\t" + ",".join(["0.0"] * 10)),  # no #episode yet
+        (3, lambda text: "\n".join([text, _final(text), _final(text)])),
+        (3, lambda text: "\n".join([text, _final(text), text])),
+        (-1, lambda text: text + "\n#episode\t12\t12"),  # block at the end
     ],
     ids=[
         "non_numeric_state",
@@ -133,17 +147,30 @@ def _edit_field(column, edit):
         "short_state",
         "inf_state",
         "negative_action",
+        "huge_action",
+        "huge_seed",
+        "zero_horizon",
+        "negative_horizon",
+        "final_before_first_record",
+        "final_outside_episode",
+        "second_final",
+        "record_after_final",
+        "episode_without_records",
     ],
 )
 def test_malformed_log_names_the_line(tmp_path, capsys, line, corrupt):
     path = tmp_path / "episodes.log"
     lines = _gridworld_log(path, episodes=12)
-    lines[line - 1] = corrupt(lines[line - 1])
+    # a negative line counts from the end; a corruption may write several
+    # lines in place of one, and the error names the last of them
+    line = line if line > 0 else len(lines) + 1 + line
+    text = corrupt(lines[line - 1])
+    lines[line - 1] = text
     path.write_text("\n".join(lines) + "\n")
     assert main(["ingest", "--log", str(path)]) == 3
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert f"{path}, line {line}:" in err
+    assert f"{path}, line {line + text.count(chr(10))}:" in err
 
 
 def test_explain_rejects_malformed_reports(tmp_path, capsys):

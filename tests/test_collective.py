@@ -13,36 +13,27 @@ from macie.collective import (
     synergy_index,
     synergy_matrix,
 )
-from macie.core import ConfigError, Episode, History, MacieError, OutcomeSpec, Step
+from macie.core import ConfigError, OutcomeSpec
 from macie.counterfactual import CounterfactualEngine
 from macie.envs import make_env
 from macie.policies import default_policies
 from macie.rng import SeedTree
 
-from helpers import action_history
+from helpers import action_history, full_history
 
 
 def game_from_table(n, table):
     return GameValues(n, lambda members: table[members])
 
 
-def history_from_actions(action_rows, states=None, n_agents=None):
+def history_from_actions(action_rows, states=None):
     """One-episode history with the given joint actions per step."""
-    rows = [np.asarray(a, dtype=np.int64) for a in action_rows]
-    n = len(rows[0]) if n_agents is None else n_agents
-    steps = []
-    for t, acts in enumerate(rows):
-        state = np.zeros(2) if states is None else np.asarray(states[t], float)
-        steps.append(
-            Step(
-                state=state,
-                joint_action=acts,
-                rewards=np.zeros(n),
-                team_reward=0.0,
-            )
-        )
-    ep = Episode(steps=steps, env_name="toy", seed=0, horizon=len(rows))
-    return History(episodes=[ep], feature_names=["f0", "f1"])
+    acts = np.array([action_rows], dtype=np.int64)
+    T = acts.shape[1]
+    S = np.zeros((1, T + 1, 2))
+    if states is not None:
+        S[0, :T] = states
+    return full_history("toy", ["f0", "f1"], S, acts, np.zeros((1, T)))
 
 
 # -- pairwise synergy ---------------------------------------------------------------
@@ -205,12 +196,6 @@ def test_conditioning_on_state_removes_state_driven_dependence():
     acts = [[t % 2, t % 2] for t in range(40)]
     hist = history_from_actions(acts, states=states)
     assert pairwise_conditional_mi(hist)[0, 1] == 0.0
-
-
-def test_history_rejects_episodes_without_steps():
-    ep = Episode(steps=[], env_name="toy", seed=0, horizon=3)
-    with pytest.raises(MacieError, match="no steps"):
-        History(episodes=[ep], feature_names=["f0", "f1"])
 
 
 # -- bundle -------------------------------------------------------------------------

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from macie.core import (
-    ConfigError,
-    Episode,
-    History,
-    MacieError,
-    OutcomeSpec,
-    Step,
-    episode_outcome,
-    padded_trace,
-)
+from macie.core import ConfigError, OutcomeSpec, rewards_outcome, rewards_trace
 from macie.counterfactual import (
     CounterfactualEngine,
     critical_timesteps,
@@ -20,6 +11,8 @@ from macie.policies import BaselinePolicy, SkillPolicy, default_policies
 from macie.rng import SeedTree
 from macie.scm import StructuralCausalModel
 
+from helpers import full_history, same_arrays
+
 
 def make_engine(seed=42, env_name="gridworld", alphas=None, **overrides):
     env = make_env(env_name, overrides=overrides or None)
@@ -27,27 +20,24 @@ def make_engine(seed=42, env_name="gridworld", alphas=None, **overrides):
     return CounterfactualEngine(SeedTree(seed), OutcomeSpec(), env=env, policies=pols)
 
 
-def test_factual_is_cached_and_deterministic():
+def test_factual_is_cached_and_deterministic(monkeypatch):
     eng = make_engine()
     first = eng.factual(3)
-    assert eng.factual(3) is first
+    # a cached episode is read back, not simulated again
+    monkeypatch.setattr(eng, "_replay", None)
+    assert same_arrays(eng.factual(3), first)
 
-    again = make_engine()
-    other = again.factual(3)
-    assert len(other.steps) == len(first.steps)
-    for a, b in zip(first.steps, other.steps):
-        assert np.array_equal(a.state, b.state)
-        assert np.array_equal(a.joint_action, b.joint_action)
-        assert a.team_reward == b.team_reward
+    other = make_engine().factual(3)
+    assert other.length[0] == first.length[0]
+    assert same_arrays(other, first)
 
 
 def test_episode_index_changes_the_rollout():
     eng = make_engine()
     a = eng.factual(0)
     b = eng.factual(1)
-    assert not np.array_equal(a.steps[0].state, b.steps[0].state) or any(
-        not np.array_equal(x.joint_action, y.joint_action)
-        for x, y in zip(a.steps, b.steps)
+    assert not np.array_equal(a.states[0, 0], b.states[0, 0]) or not np.array_equal(
+        a.actions, b.actions
     )
 
 
@@ -55,8 +45,12 @@ def test_generate_history_matches_factual_cache():
     eng = make_engine()
     hist = eng.generate_history(4)
     assert len(hist) == 4
-    assert hist.episodes[2] is eng.factual(2)
+    assert same_arrays(hist.take([2]), eng.factual(2))
+    assert hist.seeds.tolist() == [0, 1, 2, 3]
+    assert hist.has_final.all()
     assert hist.feature_names == list(eng.env.feature_names)
+    with pytest.raises(ConfigError, match="at least one episode"):
+        eng.generate_history(0)
 
 
 def test_grand_coalition_equals_factual_outcome():
@@ -105,7 +99,8 @@ def test_null_intervention_with_one_sample_is_exact():
             cf = eng.intervene_and_rollout(e, agent, n_samples=1)
             assert cf.y_cf_mean == cf.y_fact
             assert cf.critical == []
-            fact = padded_trace(eng.factual(e), eng.outcome)
+            fact = eng.factual(e)
+            fact = rewards_trace(fact.team, fact.length, eng.outcome)[0]
             assert np.array_equal(cf.samples[0].trace, fact)
 
 
@@ -219,34 +214,14 @@ def test_constructor_validation():
         )
 
 
-def hollow_episode(horizon, n_agents=2):
-    steps = [
-        Step(
-            state=np.zeros(3),
-            joint_action=np.zeros(n_agents, dtype=np.int64),
-            rewards=np.ones(n_agents),
-            team_reward=1.0,
-        )
-        for _ in range(horizon)
-    ]
-    return Episode(steps=steps, env_name="toy", seed=0, horizon=horizon)
-
-
 def test_ingested_history_needs_scm_mode():
-    hist = History(episodes=[hollow_episode(3)], feature_names=["a", "b", "c"])
+    T, n = 3, 2
+    hist = full_history(
+        "toy", ["a", "b", "c"], np.zeros((1, T + 1, 3)),
+        np.zeros((1, T, n), dtype=np.int64), np.ones((1, T)), np.ones((1, T, n)),
+    )
     with pytest.raises(ConfigError, match="env_resim"):
         CounterfactualEngine(SeedTree(0), OutcomeSpec(), history=hist)
-
-
-def test_ingested_history_rejects_mixed_horizons():
-    hist = History(
-        episodes=[hollow_episode(3), hollow_episode(4)],
-        feature_names=["a", "b", "c"],
-    )
-    with pytest.raises(MacieError, match="disagree on horizon"):
-        CounterfactualEngine(
-            SeedTree(0), OutcomeSpec(), history=hist, mode="scm_rollout"
-        )
 
 
 def test_scm_rollout_on_ingested_history():
@@ -258,7 +233,8 @@ def test_scm_rollout_on_ingested_history():
     )
     assert eng.n_agents == 2
     assert eng.horizon == sim.env.horizon
-    assert eng.factual_outcome(0) == episode_outcome(hist.episodes[0], OutcomeSpec())
+    assert eng.factual_outcome(0) == rewards_outcome(hist.team, hist.length)[0]
+    assert same_arrays(eng.factual(0), hist.take([0]))
 
     cf = eng.intervene_and_rollout(0, 0, n_samples=3)
     assert np.isfinite(cf.y_cf_mean)

@@ -232,10 +232,8 @@ def test_gridworld_bonus_rate_drops_under_intervention():
         eng = CounterfactualEngine(
             SeedTree(42), OutcomeSpec(), env=env, policies=policy_list
         )
-        hits = 0
-        for ep in eng.factuals(range(episodes)):
-            hits += any(s.team_reward > 3 for s in ep.steps)
-        return hits / episodes
+        hist = eng.factuals(range(episodes))
+        return (hist.team > 3).any(axis=1).sum() / episodes
 
     factual = bonus_rate(pols, 100)
     assert bonus_rate([base, pols[1]], 100) < factual

@@ -4,17 +4,16 @@ import pytest
 from macie import (
     CounterfactualEngine,
     ConfigError,
-    Episode,
-    History,
     MacieError,
     OutcomeSpec,
     SeedTree,
-    Step,
     StructuralCausalModel,
     default_policies,
     make_env,
 )
 from macie.scm import ConstantMean, Linear, MIN_SAMPLES
+
+from helpers import full_history
 
 
 def gridworld_history(episodes=25, seed=42):
@@ -27,34 +26,21 @@ def gridworld_history(episodes=25, seed=42):
 
 def synthetic_history(episodes, horizon, act_fn, state_fn=None, seed=0):
     rng = np.random.default_rng(seed)
-    eps = []
+    states = np.zeros((episodes, horizon + 1, 3))
+    actions = np.zeros((episodes, horizon, 2), dtype=np.int64)
     for e in range(episodes):
         state = rng.random(3)
         prev = np.zeros(2, dtype=np.int64)
-        steps = []
         for t in range(horizon):
             acts = act_fn(rng, prev, t)
             nxt = state_fn(state, acts, rng) if state_fn else rng.random(3)
-            steps.append(
-                Step(
-                    state=state.copy(),
-                    joint_action=acts.copy(),
-                    rewards=np.zeros(2),
-                    team_reward=float(acts.sum()),
-                )
-            )
+            states[e, t] = state
+            actions[e, t] = acts
             state = nxt
             prev = acts
-        eps.append(
-            Episode(
-                steps=steps,
-                env_name="synth",
-                seed=e,
-                horizon=horizon,
-                final_state=state.copy(),
-            )
-        )
-    return History(episodes=eps, feature_names=["x", "y", "z"])
+        states[e, horizon] = state
+    team = actions.sum(axis=2).astype(np.float64)
+    return full_history("synth", ["x", "y", "z"], states, actions, team)
 
 
 def test_constant_mean_predicts_the_mean():
@@ -89,7 +75,7 @@ def test_goal_coordinates_become_static_features():
     for f in (4, 5, 6, 7):
         assert f"ns{f}" not in scm.equations
         assert f"ns{f}" not in scm.nodes
-    state = hist.episodes[0].steps[0].state
+    state = hist.states[0, 0]
     nxt = scm.predict_next_state(state[None], np.array([[4, 4]]))[0]
     assert np.array_equal(nxt[4:8], state[4:8])
 
@@ -131,7 +117,7 @@ def test_predicted_actions_stay_in_range():
 
 def test_fit_is_deterministic():
     hist = gridworld_history()
-    state = hist.episodes[0].steps[2].state
+    state = hist.states[0, 2]
     outs = []
     for _ in range(2):
         scm = StructuralCausalModel().fit(
@@ -236,7 +222,7 @@ def test_batch_predictions_match_each_row_alone(model):
     scm = StructuralCausalModel().fit(hist, OutcomeSpec(), model=model)
     rng = np.random.default_rng(5)
     B = 40
-    states = np.array([s.state for ep in hist.episodes for s in ep.steps])
+    states = hist.states[:, :-1][np.arange(hist.horizon) < hist.length[:, None]]
     S = states[rng.integers(0, len(states), B)] + rng.normal(0.0, 0.3, (B, 10))
     PA = rng.integers(0, scm.n_actions, (B, 2))
     A = rng.integers(0, scm.n_actions, (B, 2))
