@@ -48,12 +48,7 @@ from .core import (
     rewards_trace,
     write_log,
 )
-from .counterfactual import (
-    AgentCF,
-    CFSample,
-    CounterfactualEngine,
-    critical_timesteps,
-)
+from .counterfactual import CounterfactualEngine, critical_timesteps
 from .envs import Environment, env_description, list_envs, make_env
 from .explain import Explanation, build_explanation
 from .policies import (
@@ -81,10 +76,8 @@ from .trees import TreeEnsemble
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentCF",
     "BaselinePolicy",
     "BootstrapResult",
-    "CFSample",
     "CUMULATIVE_TEAM_REWARD",
     "CoalitionValues",
     "ConfigError",

@@ -3,10 +3,15 @@
 Two estimators share one coalition-value abstraction: the naive
 counterfactual effect (factual outcome minus the mean outcome with one
 agent swapped to baseline) and Shapley values over the coalition game
-v(S) = outcome when exactly the agents in S keep their policies. Values
-are cached per coalition as per-episode vectors, so Shapley enumeration,
-Monte Carlo permutations, and bootstrap resampling all reuse the same
-simulations instead of re-running them.
+v(S) = outcome when exactly the agents in S keep their policies.
+:class:`CoalitionValues` is the one cache of coalition values: per
+coalition, one vector over episodes, so Shapley enumeration, Monte Carlo
+permutations, and bootstrap resampling all reuse the same simulations
+instead of re-running them.
+
+:func:`run_interventions` returns every agent's replays as arrays,
+``y_cf[N, E, K]`` and ``traces[N, E, K, T]``, and
+:func:`effects_from_interventions` reduces them without a per-sample loop.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from math import factorial
 import numpy as np
 
 from .core import ConfigError, MacieError, rewards_outcome, rewards_trace
+from .counterfactual import critical_timesteps
 
 EXACT_SHAPLEY_LIMIT = 12
 
@@ -36,10 +42,8 @@ class CoalitionValues:
     def per_episode(self, members):
         key = tuple(sorted(set(members)))
         if key not in self._cache:
-            self._cache[key] = np.array(
-                self.engine.coalition_outcomes(
-                    [(e, key) for e in range(self.n_episodes)]
-                )
+            self._cache[key] = self.engine.coalition_outcomes(
+                [(e, key) for e in range(self.n_episodes)]
             )
         return self._cache[key]
 
@@ -57,11 +61,10 @@ class CoalitionValues:
             tuple(i for i in range(self.n_agents) if mask >> i & 1)
             for mask in range(2 ** self.n_agents)
         ]
-        self.engine.coalition_outcomes(
+        y = self.engine.coalition_outcomes(
             [(e, key) for key in subsets for e in range(self.n_episodes)]
         )
-        for key in subsets:
-            self.per_episode(key)
+        self._cache.update(zip(subsets, y.reshape(len(subsets), self.n_episodes)))
         return self
 
 
@@ -100,47 +103,47 @@ class EffectResult:
 
 
 def run_interventions(engine, n_episodes, n_samples, mapper=map):
-    """Counterfactual replays for every (agent, episode) cell.
+    """Counterfactual replays for every (agent, episode, sample).
 
     Each agent's replays over all episodes are one batch; ``mapper`` may be
-    a thread pool's map over agents. Results come back as an
-    agent-by-episode grid, so the outcome never depends on completion
-    order.
+    a thread pool's map over agents. Returns ``(y_cf[N, E, K],
+    traces[N, E, K, T])`` stacked in agent order, so the outcome never
+    depends on completion order.
     """
     episodes = range(n_episodes)
     engine.factuals(episodes)
-    return list(
-        mapper(
+    y_cf, traces = zip(
+        *mapper(
             lambda i: engine.interventions(i, episodes, n_samples),
             range(engine.n_agents),
         )
     )
+    return np.stack(y_cf), np.stack(traces)
 
 
-def effects_from_interventions(engine, grid):
-    """Aggregate a replay grid into naive effects and averaged traces.
+def effects_from_interventions(engine, replays):
+    """Reduce the replays of :func:`run_interventions` to naive effects and
+    averaged traces.
 
     phi_i = Y_fact - mean_k Y_cf, averaged over episodes. Critical
     timesteps are read off the episode-averaged traces: a step counts when
     the mean counterfactual trace is further from the mean factual trace
     than the epsilon implied by the mean factual outcome.
     """
-    from .counterfactual import critical_timesteps
-
-    n = len(grid)
-    n_episodes = len(grid[0])
+    y_cf, traces = replays
+    n, n_episodes = y_cf.shape[:2]
     facts = engine.factuals(range(n_episodes))
     y_fact_pe = rewards_outcome(facts.team, facts.length, engine.outcome)
     fact_trace = np.mean(
         rewards_trace(facts.team, facts.length, engine.outcome), axis=0
     )
-    y_cf_pe = np.zeros((n, n_episodes))
+    y_cf_pe = y_cf.mean(axis=2)
+    ep_traces = traces.mean(axis=2)
+    # summed episode by episode: numpy's pairwise sum over a contiguous
+    # axis (T = 1) would round differently
     cf_traces = np.zeros((n, len(fact_trace)))
-    for i in range(n):
-        for e in range(n_episodes):
-            agent_cf = grid[i][e]
-            y_cf_pe[i, e] = agent_cf.y_cf_mean
-            cf_traces[i] += np.mean([s.trace for s in agent_cf.samples], axis=0)
+    for e in range(n_episodes):
+        cf_traces += ep_traces[:, e]
     cf_traces /= n_episodes
     phi_pe = y_fact_pe[None, :] - y_cf_pe
     y_fact = float(np.mean(y_fact_pe))
@@ -163,8 +166,8 @@ def effects_from_interventions(engine, grid):
 
 def causal_effects(engine, n_episodes, n_samples, mapper=map):
     """Naive counterfactual effects in one call; see the two halves above."""
-    grid = run_interventions(engine, n_episodes, n_samples, mapper)
-    return effects_from_interventions(engine, grid)
+    replays = run_interventions(engine, n_episodes, n_samples, mapper)
+    return effects_from_interventions(engine, replays)
 
 
 # -- Shapley ------------------------------------------------------------------

@@ -19,9 +19,12 @@ import argparse
 import json
 import sys
 
-from .core import ConfigError, MacieError, read_log
+from .core import OUTCOME_KINDS, ConfigError, MacieError, read_log
+from .counterfactual import MODES
 from .envs import env_description, list_envs
+from .explain import VERBOSITY_LEVELS
 from .report import (
+    METHODS,
     RunConfig,
     bench_k_convergence,
     explanation_from_report,
@@ -32,6 +35,7 @@ from .report import (
     write_plotdata,
     write_report,
 )
+from .scm import MODEL_NAMES
 
 _CONFIG_KEY_TO_FIELD = {
     "env": "env",
@@ -123,25 +127,14 @@ def _build_config(args):
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(load_config_file(args.config))
-    flag_fields = [
-        ("env", "env"),
-        ("episodes", "episodes"),
-        ("horizon", "horizon"),
-        ("k", "k"),
-        ("m", "m"),
-        ("b", "b"),
-        ("method", "method"),
-        ("model", "model"),
-        ("mode", "mode"),
-        ("seed", "seed"),
-        ("threads", "threads"),
-        ("verbosity", "verbosity"),
-        ("outcome", "outcome"),
-    ]
-    for attr, fld in flag_fields:
-        value = getattr(args, attr, None)
+    flag_fields = (
+        "env", "episodes", "horizon", "k", "m", "b", "method", "model", "mode",
+        "seed", "threads", "verbosity", "outcome",
+    )
+    for name in flag_fields:
+        value = getattr(args, name, None)
         if value is not None:
-            overrides[fld] = value
+            overrides[name] = value
     alpha_flags = _parse_alpha_flags(getattr(args, "alpha", None))
     if alpha_flags:
         merged = dict(overrides.get("alphas", {}))
@@ -170,7 +163,7 @@ def _add_run_flags(p, with_env=True):
         p.add_argument("--horizon", type=int, help="steps per episode")
         p.add_argument(
             "--mode",
-            choices=("env_resim", "scm_rollout"),
+            choices=MODES,
             help="counterfactual propagation mode",
         )
         p.add_argument(
@@ -185,24 +178,24 @@ def _add_run_flags(p, with_env=True):
     p.add_argument("--b", type=int, help="bootstrap resamples")
     p.add_argument(
         "--method",
-        choices=("naive_cf", "shapley_exact", "shapley_mc"),
+        choices=METHODS,
         help="attribution method",
     )
     p.add_argument(
         "--model",
-        choices=("constant_mean", "linear", "tree_ensemble"),
+        choices=MODEL_NAMES,
         help="structural equation model",
     )
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--threads", type=int, help="worker threads (MACIE_THREADS also works)")
     p.add_argument(
         "--verbosity",
-        choices=("summary", "detailed", "full"),
+        choices=VERBOSITY_LEVELS,
         help="explanation verbosity",
     )
     p.add_argument(
         "--outcome",
-        choices=("cumulative_team_reward", "terminal_success_indicator"),
+        choices=OUTCOME_KINDS,
         help="episode outcome definition",
     )
     p.add_argument("--config", help="JSON config file of dotted keys")
@@ -236,7 +229,7 @@ def build_parser():
     p_explain.add_argument("--report", required=True, help="report JSON file")
     p_explain.add_argument(
         "--verbosity",
-        choices=("summary", "detailed", "full"),
+        choices=VERBOSITY_LEVELS,
         help="verbosity to render at (defaults to the report's)",
     )
 

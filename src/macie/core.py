@@ -230,7 +230,8 @@ class _Block:
 def read_log(path) -> History:
     """Read a history written by :func:`write_log`; round trip is bit-exact.
 
-    A malformed log raises :class:`MacieError` naming the offending line.
+    A malformed log raises :class:`MacieError` naming the offending line;
+    records of an episode must be numbered 1, 2, ... in order.
     Records before the first ``#episode`` line form an episode of seed 0.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -309,6 +310,11 @@ def read_log(path) -> History:
         if block.steps == horizon:
             raise MacieError(
                 f"{path}, line {no}: episode runs past its horizon of {horizon} steps"
+            )
+        if parts[0] != str(block.steps + 1):
+            raise MacieError(
+                f"{path}, line {no}: record numbered {parts[0]!r}, "
+                f"expected step {block.steps + 1} of its episode"
             )
         if len(acts) != n_agents:
             raise MacieError(

@@ -34,7 +34,13 @@ simulates a chunk as one batched rollout, the factual episodes too.
 prediction per node and step: each row starts from its factual episode's
 first state, the baseline agents draw uniform actions and the model
 predicts the others.
-Either mode reduces a chunk to arrays of traces and outcomes.
+Either mode reduces a chunk to arrays of traces and outcomes, and the
+results stay arrays: :meth:`CounterfactualEngine.interventions` returns
+``(y_cf[E, K], traces[E, K, T])`` for one agent over E episodes and K
+samples, and ``intervene_and_rollout`` is its one-episode case.
+``coalition_outcomes`` replays the pairs it is given and keeps nothing;
+:class:`macie.attribution.CoalitionValues` is the one cache of coalition
+values.
 
 Each stream is derived once per run. What several rows read (an episode's
 start, its replicate-0 action uniforms and its environment uniforms per
@@ -47,7 +53,6 @@ whole chunk in one call of :func:`macie.rng.uniform_streams`.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,28 +79,6 @@ def critical_timesteps(fact_trace, cf_trace, epsilon):
     """1-based steps where the counterfactual trace leaves the factual one."""
     diff = np.abs(np.asarray(cf_trace) - np.asarray(fact_trace))
     return [int(t) + 1 for t in np.nonzero(diff > epsilon)[0]]
-
-
-@dataclass
-class CFSample:
-    """One counterfactual replay for one intervened agent."""
-
-    agent: int
-    k: int
-    y_cf: float
-    trace: np.ndarray
-    critical: list[int] = field(default_factory=list)
-
-
-@dataclass
-class AgentCF:
-    """Counterfactual summary for one agent on one episode."""
-
-    agent: int
-    y_fact: float
-    y_cf_mean: float
-    samples: list[CFSample]
-    critical: list[int]
 
 
 class CounterfactualEngine:
@@ -142,7 +125,6 @@ class CounterfactualEngine:
         # simulated factual episodes: episode -> its rollout row
         # (states, actions, rewards, team, length)
         self._factual: dict[int, tuple] = {}
-        self._coalitions: dict[tuple, float] = {}
         # draws several rows read, by stream key: episode -> start state,
         # episode -> replicate-0 action uniforms [T, n, 2],
         # (episode, replicate) -> environment uniforms [T, n, 2]
@@ -339,90 +321,57 @@ class CounterfactualEngine:
         return self.epsilon_frac * max(abs(y_fact), 1e-9)
 
     def intervene_and_rollout(self, e, agent, n_samples):
-        """Replace one agent's policy with the baseline, K times."""
-        return self.interventions(agent, [e], n_samples)[0]
+        """Replace one agent's policy with the baseline, K times.
+
+        Returns ``(y_cf[K], traces[K, T])`` for episode ``e``.
+        """
+        y_cf, traces = self.interventions(agent, [e], n_samples)
+        return y_cf[0], traces[0]
 
     def interventions(self, agent, episodes, n_samples):
-        """``intervene_and_rollout`` for each episode, as one replay batch."""
+        """``intervene_and_rollout`` for each episode, as one replay batch.
+
+        Returns ``(y_cf[E, K], traces[E, K, T])``: sample ``k`` of episode
+        ``episodes[i]`` swaps ``agent`` to the baseline at replicate ``k``.
+        """
         if not 0 <= agent < self.n_agents:
             raise ConfigError(f"agent {agent} out of range (n={self.n_agents})")
         if n_samples < 1:
             raise ConfigError(f"need at least one sample, got {n_samples}")
-        episodes = list(episodes)
-        facts = self.factuals(episodes)
-        n, K = self.n_agents, n_samples
-        B = len(episodes) * K
-        samples_k = np.tile(np.arange(K, dtype=np.int64), len(episodes))
-        baseline = np.zeros((B, n), dtype=bool)
+        episodes = np.array(list(episodes), dtype=np.int64)
+        n, E, K = self.n_agents, len(episodes), n_samples
+        samples_k = np.tile(np.arange(K, dtype=np.int64), E)
+        baseline = np.zeros((E * K, n), dtype=bool)
         baseline[:, agent] = True
-        reps = np.zeros((B, n), dtype=np.int64)
+        reps = np.zeros((E * K, n), dtype=np.int64)
         reps[:, agent] = samples_k
         traces, y_cf = self._replay_outcomes(
-            np.repeat(np.array(episodes, dtype=np.int64), K), baseline, reps, samples_k
+            np.repeat(episodes, K), baseline, reps, samples_k
         )
-        y_facts = rewards_outcome(facts.team, facts.length, self.outcome).tolist()
-        fact_traces = rewards_trace(facts.team, facts.length, self.outcome)
-        out = []
-        for i, (y_fact, fact_trace) in enumerate(zip(y_facts, fact_traces)):
-            eps = self.epsilon(y_fact)
-            ep_traces, ep_y = traces[i * K : (i + 1) * K], y_cf[i * K : (i + 1) * K]
-            # critical steps of every sample from one comparison: the
-            # 1-based steps above epsilon, row by row, cut at each row's end
-            above = np.abs(ep_traces - fact_trace) > eps
-            steps = (np.nonzero(above)[1] + 1).tolist()
-            ends = np.cumsum(above.sum(axis=1)).tolist()
-            samples = [
-                CFSample(
-                    agent=agent,
-                    k=k,
-                    y_cf=y,
-                    trace=ep_traces[k],
-                    critical=steps[start:end],
-                )
-                for k, (y, start, end) in enumerate(
-                    zip(ep_y.tolist(), [0, *ends], ends)
-                )
-            ]
-            out.append(
-                AgentCF(
-                    agent=agent,
-                    y_fact=y_fact,
-                    y_cf_mean=float(np.mean(ep_y)),
-                    samples=samples,
-                    critical=critical_timesteps(
-                        fact_trace, np.mean(ep_traces, axis=0), eps
-                    ),
-                )
-            )
-        return out
+        return y_cf.reshape(E, K), traces.reshape(E, K, -1)
 
     # -- coalitions --------------------------------------------------------------
 
     def coalition_outcome(self, e, members):
         """Outcome with non-members swapped to the baseline policy."""
-        return self.coalition_outcomes([(e, members)])[0]
+        return float(self.coalition_outcomes([(e, members)])[0])
 
     def coalition_outcomes(self, pairs):
-        """``coalition_outcome`` of each (episode, members) pair.
-
-        Pairs not yet cached replay as one list of rows.
+        """``coalition_outcome`` of each (episode, members) pair, as one
+        replay batch returning ``y[B]``;
+        :class:`macie.attribution.CoalitionValues` keeps them.
         """
-        keys = [(e, tuple(sorted(members))) for e, members in pairs]
-        missing = [k for k in dict.fromkeys(keys) if k not in self._coalitions]
-        for _, members in missing:
-            bad = [i for i in members if not 0 <= i < self.n_agents]
+        n, B = self.n_agents, len(pairs)
+        baseline = np.ones((B, n), dtype=bool)
+        for b, (_, members) in enumerate(pairs):
+            bad = [i for i in members if not 0 <= i < n]
             if bad:
                 raise ConfigError(f"coalition members out of range: {bad}")
-        if missing:
-            n, B = self.n_agents, len(missing)
-            baseline = np.ones((B, n), dtype=bool)
-            for b, (_, members) in enumerate(missing):
-                baseline[b, list(members)] = False
-            _, y = self._replay_outcomes(
-                np.array([e for e, _ in missing], dtype=np.int64),
-                baseline,
-                np.zeros((B, n), dtype=np.int64),
-                np.zeros(B, dtype=np.int64),
-            )
-            self._coalitions.update(zip(missing, y.tolist()))
-        return [self._coalitions[k] for k in keys]
+            baseline[b, list(members)] = False
+        _, y = self._replay_outcomes(
+            np.array([e for e, _ in pairs], dtype=np.int64),
+            baseline,
+            np.zeros((B, n), dtype=np.int64),
+            np.zeros(B, dtype=np.int64),
+        )
+        return y

@@ -323,7 +323,7 @@ def run_pipeline(config: RunConfig, history: History | None = None):
         timings["1"] = time.perf_counter_ns() - t0
 
         t0 = time.perf_counter_ns()
-        grid = run_interventions(engine, episodes, config.k, mapper)
+        replays = run_interventions(engine, episodes, config.k, mapper)
         values = CoalitionValues(engine, episodes)
         if (
             config.method in ("shapley_exact", "shapley_mc")
@@ -335,7 +335,7 @@ def run_pipeline(config: RunConfig, history: History | None = None):
         timings["2"] = time.perf_counter_ns() - t0
 
         t0 = time.perf_counter_ns()
-        effects = effects_from_interventions(engine, grid)
+        effects = effects_from_interventions(engine, replays)
         timings["3"] = time.perf_counter_ns() - t0
 
         t0 = time.perf_counter_ns()
@@ -473,6 +473,7 @@ def write_report(report, path):
 
 
 def read_report(path):
+    """Load a stored report, checking every field an explanation reads."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -496,7 +497,42 @@ def read_report(path):
         lacking = [k for k in keys if k not in data[block]]
         if lacking:
             raise MacieError(f"report field {block} lacks: {', '.join(lacking)}")
+    n = data["n_agents"]
+    if not (_is_int(n) and n >= 1):
+        raise MacieError("report field n_agents is not a positive integer")
+    ci, em, cfg = data["ci"], data["emergence"], data["config"]
+    number, vector, matrix = (
+        "a number", f"a list of {n} numbers", f"{n} lists of {n} numbers"
+    )
+    for name, value, shape, kind, what in [
+        ("y_fact", data["y_fact"], (), _is_real, number),
+        ("phi", data["phi"], (n,), _is_real, vector),
+        ("y_cf", data["y_cf"], (n,), _is_real, vector),
+        ("critical_timesteps", data["critical_timesteps"], (n, None), _is_int,
+         f"{n} lists of integers"),
+        *((f"ci.{k}", ci[k], (n,), _is_real, vector) for k in ("lows", "highs", "se")),
+        ("ci.alpha", ci["alpha"], (), _is_real, number),
+        *((f"emergence.{k}", em[k], (), _is_real, number) for k in ("si", "cs", "ii")),
+        *((f"emergence.{k}", em[k], (n, n), _is_real, matrix)
+          for k in ("synergy", "ii_pairs")),
+        *((f"config.{k}", cfg[k], (), _is_real, number)
+          for k in ("tau_synergy", "tau_si", "alpha")),
+    ]:
+        if not _has_shape(value, shape, kind):
+            raise MacieError(f"report field {name} is not {what}")
     return data
+
+
+def _has_shape(value, shape, kind):
+    """Whether ``value`` nests lists to ``shape`` (``None``: any length)
+    around leaves that pass ``kind``."""
+    if not shape:
+        return kind(value)
+    return (
+        isinstance(value, list)
+        and shape[0] in (None, len(value))
+        and all(_has_shape(v, shape[1:], kind) for v in value)
+    )
 
 
 def write_csv(report, path):

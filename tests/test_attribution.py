@@ -20,11 +20,20 @@ from macie.attribution import (
     shapley_exact,
     shapley_mc,
 )
-from macie.core import ConfigError, MacieError, OutcomeSpec
-from macie.counterfactual import CounterfactualEngine
+from macie.collective import synergy_matrix
+from macie.core import (
+    ConfigError,
+    MacieError,
+    OutcomeSpec,
+    rewards_outcome,
+    rewards_trace,
+)
+from macie.counterfactual import CounterfactualEngine, critical_timesteps
 from macie.envs import make_env
 from macie.policies import default_policies
 from macie.rng import SeedTree
+
+from helpers import full_history
 
 
 def make_engine(seed=42, env_name="gridworld"):
@@ -197,14 +206,28 @@ def test_coalition_values_match_engine_and_precompute():
         assert np.array_equal(pre.per_episode(members), expect)
 
 
+def test_precomputed_coalition_values_need_no_replay(monkeypatch):
+    eng = make_engine(seed=8)
+    values = CoalitionValues(eng, n_episodes=3).precompute()
+
+    def blocked(*args):
+        raise AssertionError("coalition values replayed after precompute")
+
+    monkeypatch.setattr(eng, "_replay", blocked)
+    assert values.per_episode((1, 0)).shape == (3,)
+    phi, _ = shapley_exact(values)
+    assert synergy_matrix(values, phi).shape == (2, 2)
+
+
 # -- naive effects -----------------------------------------------------------------
 
 
 def test_effect_grid_shapes_and_aggregation():
     eng = make_engine(seed=17)
-    grid = run_interventions(eng, n_episodes=4, n_samples=2)
-    assert len(grid) == 2 and len(grid[0]) == 4
-    res = effects_from_interventions(eng, grid)
+    y_cf, traces = run_interventions(eng, n_episodes=4, n_samples=2)
+    assert y_cf.shape == (2, 4, 2)
+    assert traces.shape == (2, 4, 2, eng.horizon)
+    res = effects_from_interventions(eng, (y_cf, traces))
     assert res.phi.shape == (2,)
     assert res.phi_pe.shape == (2, 4)
     assert res.y_cf_pe.shape == (2, 4)
@@ -222,10 +245,66 @@ def test_effect_grid_shapes_and_aggregation():
 def test_causal_effects_equals_two_step_path():
     one = causal_effects(make_engine(seed=23), n_episodes=3, n_samples=2)
     eng = make_engine(seed=23)
-    grid = run_interventions(eng, 3, 2)
-    two = effects_from_interventions(eng, grid)
+    two = effects_from_interventions(eng, run_interventions(eng, 3, 2))
     assert np.array_equal(one.phi, two.phi)
     assert one.critical == two.critical
+
+
+class _FixedFactuals:
+    """Just what ``effects_from_interventions`` reads of an engine."""
+
+    outcome = OutcomeSpec()
+    epsilon_frac = 0.1
+    epsilon = CounterfactualEngine.epsilon
+
+    def __init__(self, history):
+        self.history = history
+
+    def factuals(self, episodes):
+        return self.history.take(list(episodes))
+
+
+def _effects_per_object(engine, y_cf, traces):
+    """The reduction over one object per (agent, episode) and per sample
+    that the array reduction replaced, kept as its reference."""
+    n, E = y_cf.shape[:2]
+    facts = engine.factuals(range(E))
+    y_fact_pe = rewards_outcome(facts.team, facts.length, engine.outcome)
+    fact_trace = np.mean(rewards_trace(facts.team, facts.length), axis=0)
+    y_cf_pe = np.zeros((n, E))
+    cf_traces = np.zeros((n, len(fact_trace)))
+    for i in range(n):
+        for e in range(E):
+            y_cf_pe[i, e] = float(np.mean(y_cf[i, e]))
+            cf_traces[i] += np.mean(list(traces[i, e]), axis=0)
+    cf_traces /= E
+    eps = engine.epsilon(float(np.mean(y_fact_pe)))
+    critical = [critical_timesteps(fact_trace, c, eps) for c in cf_traces]
+    return y_fact_pe[None, :] - y_cf_pe, y_cf_pe, cf_traces, critical
+
+
+def test_effects_match_the_per_object_reduction_bit_for_bit():
+    rng = np.random.default_rng(5)
+    shapes = [(1, 1, 1), (3, 1, 7), (6, 12, 1), (2, 29, 1), (1, 9, 3)]
+    shapes += [tuple(rng.integers(1, (40, 30, 40))) for _ in range(60)]
+    for E, K, T in shapes:
+        n = int(rng.integers(1, 5))
+        team = rng.normal(size=(E, T)) * 10.0 ** rng.integers(-3, 4)
+        hist = full_history(
+            "toy", ["x"], np.zeros((E, T + 1, 1)),
+            np.zeros((E, T, n), dtype=np.int64), team,
+        )
+        engine = _FixedFactuals(hist)
+        y_cf = rng.normal(size=(n, E, K)) * 10.0 ** rng.integers(-3, 4)
+        traces = np.cumsum(rng.normal(size=(n, E, K, T)), axis=3)
+        res = effects_from_interventions(engine, (y_cf, traces))
+        phi_pe, y_cf_pe, cf_traces, critical = _effects_per_object(
+            engine, y_cf, traces
+        )
+        assert res.phi_pe.tobytes() == phi_pe.tobytes()
+        assert res.y_cf_pe.tobytes() == y_cf_pe.tobytes()
+        assert res.cf_traces.tobytes() == cf_traces.tobytes()
+        assert res.critical == critical
 
 
 def test_thread_pool_mapper_matches_serial():

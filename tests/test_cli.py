@@ -138,6 +138,11 @@ def _final(record):
         (3, lambda text: "\n".join([text, _final(text), _final(text)])),
         (3, lambda text: "\n".join([text, _final(text), text])),
         (-1, lambda text: text + "\n#episode\t12\t12"),  # block at the end
+        (4, lambda text: "3" + text[text.index("\t"):]),  # step 2 numbered 3
+        (3, lambda text: "\n".join([text, text])),  # step 1 twice
+        (3, lambda text: "x" + text[text.index("\t"):]),
+        (3, lambda text: "-7" + text[text.index("\t"):]),
+        (3, lambda text: "2" + text[text.index("\t"):]),
     ],
     ids=[
         "non_numeric_state",
@@ -156,6 +161,11 @@ def _final(record):
         "second_final",
         "record_after_final",
         "episode_without_records",
+        "step_out_of_order",
+        "step_repeated",
+        "step_not_a_number",
+        "step_negative",
+        "step_not_starting_at_1",
     ],
 )
 def test_malformed_log_names_the_line(tmp_path, capsys, line, corrupt):
@@ -192,6 +202,25 @@ def test_explain_rejects_malformed_reports(tmp_path, capsys):
         (lambda r: r["emergence"].pop("ii_pairs"),
          "report field emergence lacks: ii_pairs"),
         (lambda r: r["config"].pop("tau_si"), "report field config lacks: tau_si"),
+        (lambda r: r.update(n_agents="2"), "n_agents is not a positive integer"),
+        (lambda r: r.update(n_agents=0), "n_agents is not a positive integer"),
+        (lambda r: r.update(n_agents=True), "n_agents is not a positive integer"),
+        (lambda r: r.update(y_cf=[]), "y_cf is not a list of 2 numbers"),
+        (lambda r: r.update(phi="abc"), "phi is not a list of 2 numbers"),
+        (lambda r: r.update(phi=r["phi"][:1]), "phi is not a list of 2 numbers"),
+        (lambda r: r.update(y_fact=None), "y_fact is not a number"),
+        (lambda r: r["ci"].update(se=[0.1, "x"]), "ci.se is not a list of 2 numbers"),
+        (lambda r: r["ci"].update(alpha="0.05"), "ci.alpha is not a number"),
+        (lambda r: r["emergence"].update(synergy="x"),
+         "emergence.synergy is not 2 lists of 2 numbers"),
+        (lambda r: r["emergence"].update(ii_pairs=[[0.0, 0.0]]),
+         "emergence.ii_pairs is not 2 lists of 2 numbers"),
+        (lambda r: r["emergence"].update(si=[1.0]), "emergence.si is not a number"),
+        (lambda r: r.update(critical_timesteps=[[1], [2.5]]),
+         "critical_timesteps is not 2 lists of integers"),
+        (lambda r: r.update(critical_timesteps=[[1]]),
+         "critical_timesteps is not 2 lists of integers"),
+        (lambda r: r["config"].update(tau_si="high"), "config.tau_si is not a number"),
     ]:
         broken = json.loads(json.dumps(report))
         breakage(broken)
