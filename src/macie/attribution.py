@@ -102,21 +102,16 @@ class EffectResult:
     critical: list[list[int]]  # per agent, 1-based
 
 
-def run_interventions(engine, n_episodes, n_samples, mapper=map):
+def run_interventions(engine, n_episodes, n_samples):
     """Counterfactual replays for every (agent, episode, sample).
 
-    Each agent's replays over all episodes are one batch; ``mapper`` may be
-    a thread pool's map over agents. Returns ``(y_cf[N, E, K],
-    traces[N, E, K, T])`` stacked in agent order, so the outcome never
-    depends on completion order.
+    Each agent's replays over all episodes are one batch. Returns
+    ``(y_cf[N, E, K], traces[N, E, K, T])`` stacked in agent order.
     """
     episodes = range(n_episodes)
-    engine.factuals(episodes)
     y_cf, traces = zip(
-        *mapper(
-            lambda i: engine.interventions(i, episodes, n_samples),
-            range(engine.n_agents),
-        )
+        *(engine.interventions(i, episodes, n_samples)
+          for i in range(engine.n_agents))
     )
     return np.stack(y_cf), np.stack(traces)
 
@@ -164,9 +159,9 @@ def effects_from_interventions(engine, replays):
     )
 
 
-def causal_effects(engine, n_episodes, n_samples, mapper=map):
+def causal_effects(engine, n_episodes, n_samples):
     """Naive counterfactual effects in one call; see the two halves above."""
-    replays = run_interventions(engine, n_episodes, n_samples, mapper)
+    replays = run_interventions(engine, n_episodes, n_samples)
     return effects_from_interventions(engine, replays)
 
 

@@ -42,7 +42,6 @@ _CONFIG_KEY_TO_FIELD = {
     "episodes": "episodes",
     "horizon": "horizon",
     "seed": "seed",
-    "threads": "threads",
     "verbosity": "verbosity",
     "outcome": "outcome",
     "cf.k": "k",
@@ -129,7 +128,7 @@ def _build_config(args):
         overrides.update(load_config_file(args.config))
     flag_fields = (
         "env", "episodes", "horizon", "k", "m", "b", "method", "model", "mode",
-        "seed", "threads", "verbosity", "outcome",
+        "seed", "verbosity", "outcome",
     )
     for name in flag_fields:
         value = getattr(args, name, None)
@@ -187,7 +186,6 @@ def _add_run_flags(p, with_env=True):
         help="structural equation model",
     )
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--threads", type=int, help="worker threads (MACIE_THREADS also works)")
     p.add_argument(
         "--verbosity",
         choices=VERBOSITY_LEVELS,

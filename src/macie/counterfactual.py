@@ -52,8 +52,6 @@ whole chunk in one call of :func:`macie.rng.uniform_streams`.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .core import (
@@ -131,8 +129,6 @@ class CounterfactualEngine:
         self._starts: dict[tuple, np.ndarray] = {}
         self._act0: dict[tuple, np.ndarray] = {}
         self._env_u: dict[tuple, np.ndarray] = {}
-        # replay batches of different agents may run on a thread pool
-        self._draws_lock = threading.Lock()
 
     # -- basic dimensions ----------------------------------------------------
 
@@ -208,12 +204,10 @@ class CounterfactualEngine:
         """
         uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
         uniq = [tuple(k) for k in uniq.tolist()]
-        with self._draws_lock:
-            missing = [k for k in uniq if k not in cache]
-            if missing:
-                cache.update(zip(missing, derive(np.array(missing, dtype=np.int64))))
-            values = np.stack([cache[k] for k in uniq])
-        return values[inverse.reshape(-1)]
+        missing = [k for k in uniq if k not in cache]
+        if missing:
+            cache.update(zip(missing, derive(np.array(missing, dtype=np.int64))))
+        return np.stack([cache[k] for k in uniq])[inverse.reshape(-1)]
 
     def _act_uniforms(self, episodes, reps):
         """Action uniforms ``[B, T, n, 2]``: agent ``j`` of row ``b`` at ``reps[b, j]``.

@@ -12,17 +12,15 @@ measured total.
 
 The report is a versioned JSON document; readers reject unknown top-level
 fields so stale tooling fails loudly instead of silently ignoring data.
-Everything except the timing block is deterministic for a given config, no
-matter how many worker threads run the replays.
+Everything except the timing block is deterministic for a given config.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +77,6 @@ DEFAULT_EPISODES = {
     "traffic": 25,
     "additive": 25,
 }
-THREADS_ENV_VAR = "MACIE_THREADS"
 
 KNOWN_REPORT_KEYS = {
     "format",
@@ -133,29 +130,8 @@ def default_permutations(n_agents):
     if n_agents == 3:
         return 12
     if n_agents <= 7:
-        import math
-
         return 2 * math.factorial(n_agents)
     return 200
-
-
-def resolve_threads(explicit=None):
-    """Worker count: explicit flag wins over MACIE_THREADS, else 1."""
-    value = explicit
-    if value is None:
-        raw = os.environ.get(THREADS_ENV_VAR)
-        if raw is None:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
-    value = int(value)
-    if value < 1:
-        raise ConfigError(f"thread count must be >= 1, got {value}")
-    return value
 
 
 _STR_FIELDS = ("env", "method", "model", "mode", "verbosity", "outcome")
@@ -171,6 +147,14 @@ def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value):
+    """A real number that is a finite float (huge integers are not)."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class RunConfig:
     env: str = "gridworld"
@@ -184,6 +168,7 @@ class RunConfig:
     model: str = "tree_ensemble"
     mode: str = "env_resim"
     seed: int = 42
+    # checked but unused: replays run on one thread, and reports say 1
     threads: int | None = None
     verbosity: str = "detailed"
     outcome: str = CUMULATIVE_TEAM_REWARD
@@ -208,6 +193,8 @@ class RunConfig:
             value = getattr(self, name)
             if not _is_real(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not _is_finite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(
                 f"unknown method {self.method!r}; choose from {', '.join(METHODS)}"
@@ -236,6 +223,8 @@ class RunConfig:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         if self.b < 2:
             raise ConfigError(f"b must be >= 2, got {self.b}")
+        if self.threads is not None and self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.episodes is not None and self.episodes < 1:
@@ -296,94 +285,87 @@ def _setup(config, history):
 def run_pipeline(config: RunConfig, history: History | None = None):
     """Run the full analysis; returns the report as a plain dict."""
     config.validate()
-    threads = resolve_threads(config.threads)
     engine, hist, episodes = _setup(config, history)
     n = engine.n_agents
     tree = engine.tree
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    mapper = pool.map if pool is not None else map
     timings = {}
-    try:
-        t_start = time.perf_counter_ns()
+    t_start = time.perf_counter_ns()
 
-        t0 = time.perf_counter_ns()
-        scm = StructuralCausalModel()
-        if config.mode == "scm_rollout":
-            engine.scm = scm.fit(
-                hist,
-                engine.outcome,
-                model=config.model,
-                corr_threshold=config.corr_threshold,
-                rng=tree.stream("scm"),
-            )
-        else:
-            # the simulator replays; only the screened edges are reported
-            scm.screen(hist, config.corr_threshold)
-        timings["1"] = time.perf_counter_ns() - t0
-
-        t0 = time.perf_counter_ns()
-        replays = run_interventions(engine, episodes, config.k, mapper)
-        values = CoalitionValues(engine, episodes)
-        if (
-            config.method in ("shapley_exact", "shapley_mc")
-            and n <= EXACT_SHAPLEY_LIMIT
-        ):
-            # coalition replays are interventional rollouts too; running
-            # them here leaves the later steps as arithmetic on cached values
-            values.precompute()
-        timings["2"] = time.perf_counter_ns() - t0
-
-        t0 = time.perf_counter_ns()
-        effects = effects_from_interventions(engine, replays)
-        timings["3"] = time.perf_counter_ns() - t0
-
-        t0 = time.perf_counter_ns()
-        emerg = emergence_metrics(hist, values, effects.phi, config.ii_bins)
-        timings["3.5"] = time.perf_counter_ns() - t0
-
-        t0 = time.perf_counter_ns()
-        m_used = None
-        if config.method == "naive_cf":
-            phi, phi_pe = effects.phi, effects.phi_pe
-        elif config.method == "shapley_exact":
-            phi, phi_pe = shapley_exact(values)
-        else:
-            m_used = config.m or default_permutations(n)
-            perms = sample_permutations(n, m_used, tree.stream("perm"))
-            phi, phi_pe = shapley_mc(values, perms)
-        timings["4"] = time.perf_counter_ns() - t0
-
-        t0 = time.perf_counter_ns()
-        phi_hat = normalize_contributions(phi)
-        percent = contribution_percentages(phi)
-        ranks = agent_ranks(phi)
-        timings["5"] = time.perf_counter_ns() - t0
-
-        t0 = time.perf_counter_ns()
-        indices = bootstrap_indices(episodes, config.b, tree.stream("bootstrap"))
-        boot = bootstrap_ci(phi_pe, indices, config.alpha)
-        timings["6"] = time.perf_counter_ns() - t0
-
-        t0 = time.perf_counter_ns()
-        explanation = build_explanation(
-            phi,
-            effects.y_fact,
-            effects.y_cf,
-            critical=effects.critical,
-            bootstrap=boot,
-            emergence=emerg,
-            verbosity=config.verbosity,
-            tau_synergy=config.tau_synergy,
-            tau_si=config.tau_si,
-            alpha=config.alpha,
+    t0 = time.perf_counter_ns()
+    scm = StructuralCausalModel()
+    if config.mode == "scm_rollout":
+        engine.scm = scm.fit(
+            hist,
+            engine.outcome,
+            model=config.model,
+            corr_threshold=config.corr_threshold,
+            rng=tree.stream("scm"),
         )
-        timings["7"] = time.perf_counter_ns() - t0
+    else:
+        # the simulator replays; only the screened edges are reported
+        scm.screen(hist, config.corr_threshold)
+    timings["1"] = time.perf_counter_ns() - t0
 
-        timings["total"] = time.perf_counter_ns() - t_start
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    t0 = time.perf_counter_ns()
+    replays = run_interventions(engine, episodes, config.k)
+    values = CoalitionValues(engine, episodes)
+    if (
+        config.method in ("shapley_exact", "shapley_mc")
+        and n <= EXACT_SHAPLEY_LIMIT
+    ):
+        # coalition replays are interventional rollouts too; running
+        # them here leaves the later steps as arithmetic on cached values
+        values.precompute()
+    timings["2"] = time.perf_counter_ns() - t0
+
+    t0 = time.perf_counter_ns()
+    effects = effects_from_interventions(engine, replays)
+    timings["3"] = time.perf_counter_ns() - t0
+
+    t0 = time.perf_counter_ns()
+    emerg = emergence_metrics(hist, values, effects.phi, config.ii_bins)
+    timings["3.5"] = time.perf_counter_ns() - t0
+
+    t0 = time.perf_counter_ns()
+    m_used = None
+    if config.method == "naive_cf":
+        phi, phi_pe = effects.phi, effects.phi_pe
+    elif config.method == "shapley_exact":
+        phi, phi_pe = shapley_exact(values)
+    else:
+        m_used = config.m or default_permutations(n)
+        perms = sample_permutations(n, m_used, tree.stream("perm"))
+        phi, phi_pe = shapley_mc(values, perms)
+    timings["4"] = time.perf_counter_ns() - t0
+
+    t0 = time.perf_counter_ns()
+    phi_hat = normalize_contributions(phi)
+    percent = contribution_percentages(phi)
+    ranks = agent_ranks(phi)
+    timings["5"] = time.perf_counter_ns() - t0
+
+    t0 = time.perf_counter_ns()
+    indices = bootstrap_indices(episodes, config.b, tree.stream("bootstrap"))
+    boot = bootstrap_ci(phi_pe, indices, config.alpha)
+    timings["6"] = time.perf_counter_ns() - t0
+
+    t0 = time.perf_counter_ns()
+    explanation = build_explanation(
+        phi,
+        effects.y_fact,
+        effects.y_cf,
+        critical=effects.critical,
+        bootstrap=boot,
+        emergence=emerg,
+        verbosity=config.verbosity,
+        tau_synergy=config.tau_synergy,
+        tau_si=config.tau_si,
+        alpha=config.alpha,
+    )
+    timings["7"] = time.perf_counter_ns() - t0
+
+    timings["total"] = time.perf_counter_ns() - t_start
 
     report = {
         "format": REPORT_FORMAT,
@@ -400,7 +382,7 @@ def run_pipeline(config: RunConfig, history: History | None = None):
             "model": config.model,
             "mode": config.mode,
             "seed": config.seed,
-            "threads": threads,
+            "threads": 1,
             "verbosity": config.verbosity,
             "outcome": config.outcome,
             "alphas": {str(i): float(a) for i, a in sorted(config.alphas.items())},
@@ -520,6 +502,16 @@ def read_report(path):
     ]:
         if not _has_shape(value, shape, kind):
             raise MacieError(f"report field {name} is not {what}")
+        if kind is _is_real and not _has_shape(value, shape, _is_finite):
+            raise MacieError(f"report field {name} holds a non-finite number")
+    for name, value in (("ci.alpha", ci["alpha"]), ("config.alpha", cfg["alpha"])):
+        if not 0.0 < value < 1.0:
+            raise MacieError(f"report field {name} is not in (0, 1)")
+    if cfg["verbosity"] not in VERBOSITY_LEVELS:
+        raise MacieError(
+            "report field config.verbosity is not one of "
+            + ", ".join(VERBOSITY_LEVELS)
+        )
     return data
 
 

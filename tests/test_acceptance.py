@@ -6,7 +6,6 @@ budgets are part of the guarantee and are asserted, not just reported.
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -375,7 +374,7 @@ def test_c11_pipeline_runtime_envelope():
     reports = {}
     t0 = time.perf_counter()
     for name in ("gridworld", "coopnav", "predatorprey", "traffic"):
-        reports[name] = run_pipeline(RunConfig(env=name, threads=1))
+        reports[name] = run_pipeline(RunConfig(env=name))
     elapsed = time.perf_counter() - t0
 
     step2_dominates = True
@@ -386,7 +385,7 @@ def test_c11_pipeline_runtime_envelope():
     verdict(
         "four-dataset runtime envelope",
         elapsed < 10.0 and step2_dominates,
-        f"{elapsed:.2f}s single-threaded, counterfactual stage largest in "
+        f"{elapsed:.2f}s, counterfactual stage largest in "
         f"all four: {step2_dominates}",
     )
 
@@ -395,34 +394,19 @@ def test_c11_pipeline_runtime_envelope():
 
 
 def test_c12_reports_are_byte_identical():
-    def canonical(report, drop_threads=False):
+    def canonical(report):
         out = json.loads(json.dumps(report))
         out.pop("timings_ns")
-        if drop_threads:
-            out["config"].pop("threads")
         return json.dumps(out, sort_keys=True).encode()
 
-    # a real pool even on a single-core box, so the threaded path is compared
-    max_threads = max(2, os.cpu_count() or 2)
     ok = True
     for name in ("gridworld", "coopnav", "predatorprey", "traffic"):
-        single = [
-            run_pipeline(RunConfig(env=name, episodes=12, b=50, threads=1))
+        runs = [
+            canonical(run_pipeline(RunConfig(env=name, episodes=12, b=50)))
             for _ in range(2)
         ]
-        threaded = run_pipeline(
-            RunConfig(env=name, episodes=12, b=50, threads=max_threads)
-        )
-        ok = ok and canonical(single[0]) == canonical(single[1])
-        ok = ok and (
-            canonical(single[0], drop_threads=True)
-            == canonical(threaded, drop_threads=True)
-        )
-    verdict(
-        "byte-identical reports at 1 and max threads",
-        ok,
-        f"max threads {max_threads}",
-    )
+        ok = ok and runs[0] == runs[1]
+    verdict("byte-identical reports on repeat runs", ok, "4 environments")
 
 
 # -- 13: information integration calibration ----------------------------------------------

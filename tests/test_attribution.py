@@ -307,16 +307,6 @@ def test_effects_match_the_per_object_reduction_bit_for_bit():
         assert res.critical == critical
 
 
-def test_thread_pool_mapper_matches_serial():
-    from concurrent.futures import ThreadPoolExecutor
-
-    serial = causal_effects(make_engine(seed=29), 3, 2)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = causal_effects(make_engine(seed=29), 3, 2, mapper=pool.map)
-    assert np.array_equal(serial.phi_pe, threaded.phi_pe)
-    assert np.array_equal(serial.fact_trace, threaded.fact_trace)
-
-
 # -- normalisation and ranking -------------------------------------------------------
 
 

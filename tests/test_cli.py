@@ -52,9 +52,10 @@ def test_unknown_env_is_an_argparse_error(capsys):
 
 
 def test_unknown_flag_is_an_argparse_error():
-    with pytest.raises(SystemExit) as err:
-        main(["run", "--turbo"])
-    assert err.value.code == 2
+    for flags in (["--turbo"], ["--threads", "2"]):
+        with pytest.raises(SystemExit) as err:
+            main(["run", *flags])
+        assert err.value.code == 2
 
 
 def test_invalid_config_value_returns_2(capsys):
@@ -221,6 +222,22 @@ def test_explain_rejects_malformed_reports(tmp_path, capsys):
         (lambda r: r.update(critical_timesteps=[[1]]),
          "critical_timesteps is not 2 lists of integers"),
         (lambda r: r["config"].update(tau_si="high"), "config.tau_si is not a number"),
+        (lambda r: r["ci"].update(alpha=5), "ci.alpha is not in (0, 1)"),
+        (lambda r: r["ci"].update(alpha=0.0), "ci.alpha is not in (0, 1)"),
+        (lambda r: r["config"].update(alpha=-1), "config.alpha is not in (0, 1)"),
+        (lambda r: r["config"].update(tau_si=float("nan")),
+         "config.tau_si holds a non-finite number"),
+        (lambda r: r.update(y_fact=float("inf")), "y_fact holds a non-finite number"),
+        (lambda r: r["ci"].update(se=[0.1, 10**400]), "ci.se holds a non-finite number"),
+        (lambda r: r.update(phi=[0.5, float("nan")]),
+         "phi holds a non-finite number"),
+        (lambda r: r["emergence"].update(synergy=[[0.0, float("-inf")], [0.0, 0.0]]),
+         "emergence.synergy holds a non-finite number"),
+        (lambda r: r["emergence"].update(si=float("nan")),
+         "emergence.si holds a non-finite number"),
+        (lambda r: r["config"].update(verbosity="loud"),
+         "config.verbosity is not one of"),
+        (lambda r: r["config"].update(verbosity=3), "config.verbosity is not one of"),
     ]:
         broken = json.loads(json.dumps(report))
         breakage(broken)
@@ -237,6 +254,11 @@ def test_config_value_of_wrong_type_returns_2(tmp_path, capsys):
         ("env", ["gridworld"], "env must be a string"),
         ("attr.alpha", "0.1", "alpha must be a number"),
         ("env.width", "abc", "width must be an integer"),
+        ("ci.tau_si", float("nan"), "tau_si must be finite"),
+        ("ci.tau_synergy", float("inf"), "tau_synergy must be finite"),
+        ("cf.epsilon_frac", float("inf"), "epsilon_frac must be finite"),
+        ("scm.corr_threshold", float("nan"), "corr_threshold must be finite"),
+        ("ci.tau_si", 10**400, "tau_si must be finite"),
     ]:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({key: value}))
@@ -305,9 +327,10 @@ def test_config_file_errors(tmp_path, capsys):
     assert main(["run", "--config", str(bad_json)]) == 2
 
     unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps({"turbo": True}))
-    assert main(["run", "--config", str(unknown)]) == 2
-    assert "unknown config key" in capsys.readouterr().err
+    for key, value in [("turbo", True), ("threads", 2)]:
+        unknown.write_text(json.dumps({key: value}))
+        assert main(["run", "--config", str(unknown)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")

@@ -1,11 +1,14 @@
+import ast
 import collections
 import copy
 import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
+import macie
 import macie.rng
 from macie.core import ConfigError, MacieError, read_log, write_log
 from macie.report import (
@@ -18,7 +21,6 @@ from macie.report import (
     default_permutations,
     explanation_from_report,
     read_report,
-    resolve_threads,
     run_pipeline,
     write_csv,
     write_plotdata,
@@ -61,6 +63,13 @@ def test_config_validation_messages():
         (dict(alpha=1.5), "alpha must be in"),
         (dict(episodes=0), "episodes must be >= 1"),
         (dict(alphas={0: 1.5}), "must be in \\[0, 1\\]"),
+        (dict(alpha=float("nan")), "alpha must be finite"),
+        (dict(tau_synergy=float("inf")), "tau_synergy must be finite"),
+        (dict(tau_si=float("nan")), "tau_si must be finite"),
+        (dict(epsilon_frac=float("inf")), "epsilon_frac must be finite"),
+        (dict(corr_threshold=float("-inf")), "corr_threshold must be finite"),
+        (dict(threads=0), "threads must be >= 1"),
+        (dict(threads="2"), "threads must be an integer"),
     ]
     for overrides, match in cases:
         with pytest.raises(ConfigError, match=match):
@@ -70,20 +79,6 @@ def test_config_validation_messages():
 def test_alpha_override_for_missing_agent():
     with pytest.raises(ConfigError, match="out of range"):
         run_pipeline(small_config(alphas={5: 0.5}))
-
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("MACIE_THREADS", raising=False)
-    assert resolve_threads() == 1
-    assert resolve_threads(4) == 4
-    monkeypatch.setenv("MACIE_THREADS", "3")
-    assert resolve_threads() == 3
-    assert resolve_threads(2) == 2
-    monkeypatch.setenv("MACIE_THREADS", "many")
-    with pytest.raises(ConfigError, match="MACIE_THREADS"):
-        resolve_threads()
-    with pytest.raises(ConfigError, match=">= 1"):
-        resolve_threads(0)
 
 
 def test_default_permutation_budget():
@@ -147,12 +142,26 @@ def test_pipeline_is_deterministic(report):
 
 
 def test_thread_count_does_not_change_results(report):
+    # threads is accepted and checked, but replays run on one thread
     threaded = run_pipeline(small_config(threads=2))
-    a = strip_timings(report)
-    b = strip_timings(threaded)
-    assert a["config"].pop("threads") == 1
-    assert b["config"].pop("threads") == 2
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert threaded["config"]["threads"] == 1
+    assert json.dumps(strip_timings(report), sort_keys=True) == json.dumps(
+        strip_timings(threaded), sort_keys=True
+    )
+
+
+def test_no_module_uses_threads():
+    thread_apis = {"threading", "_thread", "concurrent"}
+    for path in sorted(pathlib.Path(macie.__file__).parent.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+        assert not {name.split(".")[0] for name in imported} & thread_apis, path
+        assert "MACIE_THREADS" not in source, path
 
 
 def test_seed_changes_results(report):
@@ -280,7 +289,7 @@ def test_scm_reports_match_golden_digests(tmp_path, case):
 @pytest.mark.parametrize(
     "overrides",
     [
-        dict(env="traffic", method="shapley_exact", threads=2),
+        dict(env="traffic", method="shapley_exact"),
         dict(env="gridworld", mode="scm_rollout", model="linear"),
     ],
     ids=["traffic_env_resim", "gridworld_scm_rollout"],
