@@ -9,7 +9,8 @@ coalition, one vector over episodes, so Shapley enumeration, Monte Carlo
 permutations, and bootstrap resampling all reuse the same simulations
 instead of re-running them.
 
-:func:`run_interventions` returns every agent's replays as arrays,
+:func:`run_interventions` replays every agent's interventions, and when
+asked every coalition, as one row set; it returns the replays as arrays,
 ``y_cf[N, E, K]`` and ``traces[N, E, K, T]``, and
 :func:`effects_from_interventions` reduces them without a per-sample loop.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, floor
 
 import numpy as np
 
@@ -50,22 +51,31 @@ class CoalitionValues:
     def value(self, members):
         return float(np.mean(self.per_episode(members)))
 
+    def subsets(self):
+        """All 2**n coalitions, as sorted member tuples in bitmask order."""
+        return [
+            tuple(i for i in range(self.n_agents) if mask >> i & 1)
+            for mask in range(2 ** self.n_agents)
+        ]
+
+    def fill(self, coalitions, y):
+        """Cache ``y[C, E]``, the per-episode values of ``coalitions``."""
+        self._cache.update(zip(coalitions, y))
+        return self
+
     def precompute(self):
         """Evaluate every coalition of every episode up front.
 
         Runs the interventional rollouts behind all 2**n coalition values
-        as one batch; afterwards Shapley computation is pure arithmetic on
-        cached arrays.
+        as one row set; afterwards Shapley computation is pure arithmetic
+        on cached arrays. :func:`run_interventions` does the same in the
+        row set of the naive replays.
         """
-        subsets = [
-            tuple(i for i in range(self.n_agents) if mask >> i & 1)
-            for mask in range(2 ** self.n_agents)
-        ]
+        subsets = self.subsets()
         y = self.engine.coalition_outcomes(
             [(e, key) for key in subsets for e in range(self.n_episodes)]
         )
-        self._cache.update(zip(subsets, y.reshape(len(subsets), self.n_episodes)))
-        return self
+        return self.fill(subsets, y.reshape(len(subsets), self.n_episodes))
 
 
 class GameValues:
@@ -102,18 +112,20 @@ class EffectResult:
     critical: list[list[int]]  # per agent, 1-based
 
 
-def run_interventions(engine, n_episodes, n_samples):
+def run_interventions(engine, n_episodes, n_samples, values=None):
     """Counterfactual replays for every (agent, episode, sample).
 
-    Each agent's replays over all episodes are one batch. Returns
-    ``(y_cf[N, E, K], traces[N, E, K, T])`` stacked in agent order.
+    Returns ``(y_cf[N, E, K], traces[N, E, K, T])`` in agent order. Given a
+    :class:`CoalitionValues`, every coalition value is replayed in the same
+    row set and cached in it, as :meth:`CoalitionValues.precompute` would.
     """
-    episodes = range(n_episodes)
-    y_cf, traces = zip(
-        *(engine.interventions(i, episodes, n_samples)
-          for i in range(engine.n_agents))
+    coalitions = values.subsets() if values is not None else []
+    y_cf, traces, y_coalitions = engine.replay_table(
+        range(n_episodes), n_samples, coalitions
     )
-    return np.stack(y_cf), np.stack(traces)
+    if values is not None:
+        values.fill(coalitions, y_coalitions)
+    return y_cf, traces
 
 
 def effects_from_interventions(engine, replays):
@@ -319,8 +331,8 @@ def bootstrap_ci(phi_pe, indices, alpha=0.05):
             f"attributions have {phi_pe.shape[1]}"
         )
     samples = phi_pe[:, indices].mean(axis=2).T  # (B, N)
-    lows = np.quantile(samples, alpha / 2.0, axis=0, method="linear")
-    highs = np.quantile(samples, 1.0 - alpha / 2.0, axis=0, method="linear")
+    lows = _linear_quantile(samples, alpha / 2.0)
+    highs = _linear_quantile(samples, 1.0 - alpha / 2.0)
     return BootstrapResult(
         lows=lows,
         highs=highs,
@@ -328,6 +340,22 @@ def bootstrap_ci(phi_pe, indices, alpha=0.05):
         se=samples.std(axis=0, ddof=1),
         alpha=alpha,
     )
+
+
+def _linear_quantile(samples, q):
+    """``np.quantile(samples, q, axis=0)`` for ``0 < q < 1``, by numpy's
+    default (linear) rule and arithmetic, so bit for bit the same.
+
+    numpy's own first call imports ``numpy.ma`` (about 10 ms), about as
+    long as all the replays of a default gridworld run take.
+    """
+    s = np.sort(samples, axis=0)
+    v = (len(s) - 1) * q
+    i = floor(v)
+    t = v - i
+    a, b = s[i], s[min(i + 1, len(s) - 1)]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def compare_agents(phi, samples, i, j):

@@ -26,6 +26,7 @@ from .explain import VERBOSITY_LEVELS
 from .report import (
     METHODS,
     RunConfig,
+    _is_finite,
     bench_k_convergence,
     explanation_from_report,
     read_report,
@@ -79,11 +80,17 @@ def load_config_file(path):
         elif key.startswith("policy.alpha."):
             tail = key[len("policy.alpha."):]
             try:
-                alphas[int(tail)] = float(value)
+                agent = int(tail)
             except ValueError:
                 raise ConfigError(
                     f"bad agent index in config key {key!r}"
                 ) from None
+            if not _is_finite(value):
+                raise ConfigError(
+                    f"config key {key!r} must be a finite number, "
+                    f"got {json.dumps(value)}"
+                )
+            alphas[agent] = float(value)
         elif key.startswith("env."):
             env_config[key[len("env."):]] = value
         else:

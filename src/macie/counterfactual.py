@@ -26,28 +26,33 @@ traces, start states and first joint actions are read off those arrays.
 
 A replay is a row: an episode, the agents swapped to the baseline policy,
 each agent's replicate and the environment's replicate, held as arrays over
-a row axis. The replays of each intervened agent form one set of rows over
-(episode, sample), and the coalitions one over (episode, coalition); both
-modes run such a set in chunks of ``REPLAY_CHUNK`` rows. ``env_resim``
-simulates a chunk as one batched rollout, the factual episodes too.
-``scm_rollout`` steps a chunk through the structural model with one
-prediction per node and step: each row starts from its factual episode's
-first state, the baseline agents draw uniform actions and the model
-predicts the others.
-Either mode reduces a chunk to arrays of traces and outcomes, and the
-results stay arrays: :meth:`CounterfactualEngine.interventions` returns
-``(y_cf[E, K], traces[E, K, T])`` for one agent over E episodes and K
-samples, and ``intervene_and_rollout`` is its one-episode case.
-``coalition_outcomes`` replays the pairs it is given and keeps nothing;
+a row axis. :meth:`CounterfactualEngine.replay_table` replays a run's whole
+row table as one set: every agent's interventions over (episode, sample),
+then the coalitions over (coalition, episode). It returns
+``(y_cf[N, E, K], traces[N, E, K, T], y_coalitions[C, E])``; only the
+intervention rows get traces. ``interventions`` (one agent's
+``(y_cf[E, K], traces[E, K, T])``, with ``intervene_and_rollout`` its
+one-episode case) and ``coalition_outcomes`` (``y[B]`` of the pairs it is
+given) replay smaller sets the same way, and keep nothing;
 :class:`macie.attribution.CoalitionValues` is the one cache of coalition
 values.
 
+Both modes cut a row set into ceil(B / ``REPLAY_CHUNK``) batches of equal
+size (give or take one row). ``env_resim`` simulates a batch as one batched
+rollout that records only the team reward and the length, which is all an
+outcome and a trace read; the factual episodes are one batched rollout of
+whole trajectories. ``scm_rollout`` steps a batch through the structural
+model with one prediction per node and step: each row starts from its
+factual episode's first state, the baseline agents draw uniform actions and
+the model predicts the others. A row reads only its own streams, so the
+split into batches never changes a result.
+
 Each stream is derived once per run. What several rows read (an episode's
 start, its replicate-0 action uniforms and its environment uniforms per
-replicate) is kept on the engine, derived in one batch for the keys a chunk
-first needs, and gathered into the chunk by indexing. A later replicate of
+replicate) is kept on the engine, derived in one call for the keys a batch
+first needs, and gathered into the batch by indexing. A later replicate of
 one agent's actions, which only its own replay reads, is drawn for the
-whole chunk in one call of :func:`macie.rng.uniform_streams`.
+whole batch in one call of :func:`macie.rng.uniform_streams`.
 """
 
 from __future__ import annotations
@@ -67,10 +72,11 @@ from .rng import SeedTree
 
 MODES = ("env_resim", "scm_rollout")
 DEFAULT_EPSILON_FRAC = 0.1
-# Rows per replay rollout: wide enough that numpy's per-call cost spreads
-# over many episodes, narrow enough that a chunk's recorded trajectories
-# (about 0.5 MB for coopnav) add little to peak memory.
-REPLAY_CHUNK = 128
+# Most rows per replay batch. A replay step costs a few dozen numpy calls
+# whatever the batch width, so wide batches spread that cost over many rows;
+# a batch's working set (its action and environment uniforms, 0.3 MB for a
+# three-agent team at 384 rows) bounds how wide they may be.
+REPLAY_CHUNK = 384
 
 
 def critical_timesteps(fact_trace, cf_trace, epsilon):
@@ -202,18 +208,18 @@ class CounterfactualEngine:
         Keys not yet cached are derived together, ``derive(missing[M, m])``
         giving their ``M`` values, and kept.
         """
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        uniq = [tuple(k) for k in uniq.tolist()]
-        missing = [k for k in uniq if k not in cache]
+        first = {}
+        inverse = [first.setdefault(k, len(first)) for k in map(tuple, keys.tolist())]
+        missing = [k for k in first if k not in cache]
         if missing:
             cache.update(zip(missing, derive(np.array(missing, dtype=np.int64))))
-        return np.stack([cache[k] for k in uniq])[inverse.reshape(-1)]
+        return np.stack([cache[k] for k in first])[inverse]
 
     def _act_uniforms(self, episodes, reps):
         """Action uniforms ``[B, T, n, 2]``: agent ``j`` of row ``b`` at ``reps[b, j]``.
 
         Replicate 0, which the factual run and most replays read, is kept per
-        episode; the later replicates of a chunk are drawn in one call.
+        episode; the later replicates of a batch are drawn in one call.
         """
         T, n = self.horizon, self.n_agents
 
@@ -230,13 +236,13 @@ class CounterfactualEngine:
             act_u[rows, :, agents] = u.reshape(-1, T, 2)
         return act_u
 
-    def _replay(self, episodes, baseline, reps, env_rep):
+    def _replay(self, episodes, baseline, reps, env_rep, trajectory=True):
         """Simulate rows: episode ``episodes[b]`` with ``baseline[b, j]`` swapped.
 
         Agents marked in ``baseline[B, n]`` play the baseline policy, the
         others their factual policy; agent ``j`` draws from its replicate
         ``reps[b, j]`` and the environment from ``env_rep[b]``. Returns the
-        batched rollout.
+        batched rollout, only ``(team, length)`` without ``trajectory``.
         """
         env = self.env
         T, n, B = env.horizon, env.n_agents, len(episodes)
@@ -259,21 +265,30 @@ class CounterfactualEngine:
         kinds, alphas, consts = (
             np.where(baseline, s, f) for f, s in zip(factual, swap)
         )
-        return env.rollout_batch(S0, kinds, alphas, consts, act_u, env_u)
+        return env.rollout_batch(
+            S0, kinds, alphas, consts, act_u, env_u, trajectory=trajectory
+        )
 
-    def _replay_outcomes(self, episodes, baseline, reps, env_rep):
-        """``(traces[B, T], outcomes[B])`` of replayed rows (see :meth:`_replay`)."""
+    def _replay_outcomes(self, rows, traced):
+        """``(traces[traced, T], outcomes[B])`` of replayed ``rows``.
+
+        ``rows`` holds the arguments of :meth:`_replay` over B rows, and only
+        the first ``traced`` rows get a trace. The rows run in
+        ceil(B / ``REPLAY_CHUNK``) batches whose sizes differ by one at most.
+        """
+        B = len(rows[0])
+        n_batches = -(-B // REPLAY_CHUNK)
+        bounds = [B * i // n_batches for i in range(n_batches + 1)]
         traces, outcomes = [], []
-        for start in range(0, len(episodes), REPLAY_CHUNK):
-            chunk = [
-                a[start : start + REPLAY_CHUNK]
-                for a in (episodes, baseline, reps, env_rep)
-            ]
+        for lo, hi in zip(bounds, bounds[1:]):
+            batch = [a[lo:hi] for a in rows]
+            m = min(max(traced - lo, 0), hi - lo)
             if self.mode == "scm_rollout":
-                trace, y = self._scm_outcomes(*chunk[:3])
+                trace, y = self._scm_outcomes(*batch[:3])
+                trace = trace[:m]
             else:
-                _, _, _, team, length = self._replay(*chunk)
-                trace = rewards_trace(team, length, self.outcome)
+                team, length = self._replay(*batch, trajectory=False)
+                trace = rewards_trace(team[:m], length[:m], self.outcome)
                 y = rewards_outcome(team, length, self.outcome)
             traces.append(trace)
             outcomes.append(y)
@@ -292,8 +307,9 @@ class CounterfactualEngine:
         if scm is None:
             raise MacieError("scm_rollout mode needs a fitted structural model")
         T, n, B = self.horizon, self.n_agents, len(episodes)
-        facts = self.factuals(episodes.tolist())
-        S, PA = facts.states[:, 0], facts.actions[:, 0]
+        uniq, inverse = np.unique(episodes, return_inverse=True)
+        facts = self.factuals(uniq.tolist())
+        S, PA = facts.states[inverse, 0], facts.actions[inverse, 0]
         u = self._act_uniforms(episodes, reps)[..., 1]
         drawn = (u * scm.n_actions).astype(np.int64)
         rewards = np.empty((B, T))
@@ -323,26 +339,60 @@ class CounterfactualEngine:
         return y_cf[0], traces[0]
 
     def interventions(self, agent, episodes, n_samples):
-        """``intervene_and_rollout`` for each episode, as one replay batch.
+        """``intervene_and_rollout`` for each episode, as one row set.
 
         Returns ``(y_cf[E, K], traces[E, K, T])``: sample ``k`` of episode
         ``episodes[i]`` swaps ``agent`` to the baseline at replicate ``k``.
         """
         if not 0 <= agent < self.n_agents:
             raise ConfigError(f"agent {agent} out of range (n={self.n_agents})")
-        if n_samples < 1:
-            raise ConfigError(f"need at least one sample, got {n_samples}")
+        episodes = np.array(list(episodes), dtype=np.int64)
+        rows = self._intervention_rows([agent], episodes, n_samples)
+        traces, y_cf = self._replay_outcomes(rows, len(rows[0]))
+        E = len(episodes)
+        return y_cf.reshape(E, n_samples), traces.reshape(E, n_samples, -1)
+
+    def replay_table(self, episodes, n_samples, coalitions=()):
+        """Every agent's interventions and the ``coalitions``' outcomes on
+        ``episodes``, replayed as one row set.
+
+        Returns ``(y_cf[N, E, K], traces[N, E, K, T], y_coalitions[C, E])``:
+        ``y_cf[i]`` and ``traces[i]`` are ``interventions(i, episodes, K)``
+        and ``y_coalitions[c, j]`` is
+        ``coalition_outcome(episodes[j], coalitions[c])``. Coalition rows
+        get no trace.
+        """
         episodes = np.array(list(episodes), dtype=np.int64)
         n, E, K = self.n_agents, len(episodes), n_samples
-        samples_k = np.tile(np.arange(K, dtype=np.int64), E)
-        baseline = np.zeros((E * K, n), dtype=bool)
-        baseline[:, agent] = True
-        reps = np.zeros((E * K, n), dtype=np.int64)
-        reps[:, agent] = samples_k
-        traces, y_cf = self._replay_outcomes(
-            np.repeat(episodes, K), baseline, reps, samples_k
+        cf_rows = self._intervention_rows(range(n), episodes, K)
+        coalition_rows = self._coalition_rows(
+            [(e, members) for members in coalitions for e in episodes.tolist()]
         )
-        return y_cf.reshape(E, K), traces.reshape(E, K, -1)
+        rows = [np.concatenate(a) for a in zip(cf_rows, coalition_rows)]
+        traced = n * E * K
+        traces, y = self._replay_outcomes(rows, traced)
+        return (
+            y[:traced].reshape(n, E, K),
+            traces.reshape(n, E, K, -1),
+            y[traced:].reshape(len(coalitions), E),
+        )
+
+    def _intervention_rows(self, agents, episodes, n_samples):
+        """Replay rows of ``agents`` x ``episodes`` x samples, in that order:
+        sample ``k`` swaps the agent to the baseline and moves its stream
+        and the environment's to replicate ``k``."""
+        if n_samples < 1:
+            raise ConfigError(f"need at least one sample, got {n_samples}")
+        agents = np.asarray(agents, dtype=np.int64)
+        n, E, K = self.n_agents, len(episodes), n_samples
+        B = len(agents) * E * K
+        swapped = np.repeat(agents, E * K)
+        k = np.tile(np.arange(K, dtype=np.int64), len(agents) * E)
+        baseline = np.zeros((B, n), dtype=bool)
+        baseline[np.arange(B), swapped] = True
+        reps = np.zeros((B, n), dtype=np.int64)
+        reps[np.arange(B), swapped] = k
+        return np.tile(np.repeat(episodes, K), len(agents)), baseline, reps, k
 
     # -- coalitions --------------------------------------------------------------
 
@@ -352,20 +402,27 @@ class CounterfactualEngine:
 
     def coalition_outcomes(self, pairs):
         """``coalition_outcome`` of each (episode, members) pair, as one
-        replay batch returning ``y[B]``;
+        row set returning ``y[B]``;
         :class:`macie.attribution.CoalitionValues` keeps them.
         """
+        _, y = self._replay_outcomes(self._coalition_rows(pairs), 0)
+        return y
+
+    def _coalition_rows(self, pairs):
+        """Replay rows of (episode, members) pairs: non-members swapped to
+        the baseline, every stream at replicate 0."""
         n, B = self.n_agents, len(pairs)
-        baseline = np.ones((B, n), dtype=bool)
-        for b, (_, members) in enumerate(pairs):
-            bad = [i for i in members if not 0 <= i < n]
+        coalitions = [tuple(members) for _, members in pairs]
+        # one mask per distinct coalition, shared by its episodes' rows
+        masks = {}
+        for key in dict.fromkeys(coalitions):
+            bad = [i for i in key if not 0 <= i < n]
             if bad:
                 raise ConfigError(f"coalition members out of range: {bad}")
-            baseline[b, list(members)] = False
-        _, y = self._replay_outcomes(
+            masks[key] = ~np.isin(np.arange(n), key)
+        return (
             np.array([e for e, _ in pairs], dtype=np.int64),
-            baseline,
+            np.array([masks[key] for key in coalitions], dtype=bool).reshape(B, n),
             np.zeros((B, n), dtype=np.int64),
             np.zeros(B, dtype=np.int64),
         )
-        return y

@@ -21,7 +21,8 @@ Shared conventions:
   step (only traffic reads them);
 - a rollout returns ``(states[B, T+1, D], actions[B, T, n],
   rewards[B, T, n], team[B, T], length[B])``, with ``length`` the number
-  of executed steps. Entries after a row's last step stay zero.
+  of executed steps, or only ``(team, length)`` when no trajectory is
+  asked for. Entries after a row's last step stay zero.
 
 The dynamics keep the arithmetic of the scalar definitions they replaced,
 so reports stay bit-identical: powers go through ``np.float_power`` (C
@@ -57,39 +58,45 @@ def take(options, index):
     return np.take_along_axis(options, index[..., None], axis=-1)[..., 0]
 
 
-def rollout(env, S0, kinds, alphas, consts, act_u, env_u):
+def rollout(env, S0, kinds, alphas, consts, act_u, env_u, trajectory=True):
     """Simulate B episodes of ``env`` for ``act_u.shape[1]`` steps at most.
 
     Each step picks every agent's action by the policy rule from the
     environment's greedy actions, then applies the environment's
     transition. A row stops counting at the first step its transition
     reports as terminal; the rows still running keep the batch going.
+    Without ``trajectory`` only ``(team, length)`` is recorded and
+    returned, which is all a replay's outcome and trace read.
     """
     B, T, n = act_u.shape[:3]
     s = np.array(S0, dtype=np.float64)
-    states = np.zeros((B, T + 1, s.shape[1]))
-    actions = np.zeros((B, T, n), dtype=np.int64)
-    rewards = np.zeros((B, T, n))
     team = np.zeros((B, T))
     length = np.full(B, T, dtype=np.int64)
     alive = np.ones(B, dtype=bool)
-    states[:, 0] = s
+    if trajectory:
+        states = np.zeros((B, T + 1, s.shape[1]))
+        actions = np.zeros((B, T, n), dtype=np.int64)
+        rewards = np.zeros((B, T, n))
+        states[:, 0] = s
     for t in range(T):
         greedy = env.greedy_actions(s)
         a = select_actions(kinds, alphas, consts, greedy, act_u[:, t], env.n_actions)
         r, tr, done = env.transition(s, a, env_u[:, t])
-        actions[:, t] = a
-        rewards[:, t] = r
         team[:, t] = tr
-        states[:, t + 1] = s
+        if trajectory:
+            actions[:, t] = a
+            rewards[:, t] = r
+            states[:, t + 1] = s
         length[alive & done] = t + 1
         alive &= ~done
         if not alive.any():
             break
     # rows that ended early kept moving with the batch; blank their tails
     after = np.arange(T) >= length[:, None]
+    team[after] = 0.0
+    if not trajectory:
+        return team, length
     actions[after] = 0
     rewards[after] = 0.0
-    team[after] = 0.0
     states[np.arange(T + 1) > length[:, None]] = 0.0
     return states, actions, rewards, team, length

@@ -56,9 +56,11 @@ class Environment:
         S = np.asarray(state, dtype=np.float64)[None]
         return int(self.greedy_actions(S)[0, agent])
 
-    def rollout_batch(self, S0, kinds, alphas, consts, act_u, env_u):
+    def rollout_batch(self, S0, kinds, alphas, consts, act_u, env_u, trajectory=True):
         """Simulate a batch of episodes; see :func:`kernels.rollout`."""
-        return kernels.rollout(self, S0, kinds, alphas, consts, act_u, env_u)
+        return kernels.rollout(
+            self, S0, kinds, alphas, consts, act_u, env_u, trajectory
+        )
 
     def rollout(self, state0, horizon, kinds, alphas, consts, act_u, env_u):
         """One episode: ``rollout_batch`` on a single row, ``length`` an int."""

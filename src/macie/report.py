@@ -227,6 +227,10 @@ class RunConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        if not 0.0 <= self.corr_threshold <= 1.0:
+            raise ConfigError(
+                f"corr_threshold must be in [0, 1], got {self.corr_threshold}"
+            )
         if self.episodes is not None and self.episodes < 1:
             raise ConfigError(f"episodes must be >= 1, got {self.episodes}")
         for i, a in self.alphas.items():
@@ -308,15 +312,13 @@ def run_pipeline(config: RunConfig, history: History | None = None):
     timings["1"] = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()
-    replays = run_interventions(engine, episodes, config.k)
     values = CoalitionValues(engine, episodes)
-    if (
-        config.method in ("shapley_exact", "shapley_mc")
-        and n <= EXACT_SHAPLEY_LIMIT
-    ):
-        # coalition replays are interventional rollouts too; running
-        # them here leaves the later steps as arithmetic on cached values
-        values.precompute()
+    # coalition replays are interventional rollouts too; running them in
+    # the same row set leaves the later steps as arithmetic on cached values
+    cached = config.method != "naive_cf" and n <= EXACT_SHAPLEY_LIMIT
+    replays = run_interventions(
+        engine, episodes, config.k, values if cached else None
+    )
     timings["2"] = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()

@@ -95,6 +95,10 @@ _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 _PHILOX_W = _PHILOX_W[:, None, None]
 _PHILOX_ROUNDS = 10
+# Philox blocks (streams x blocks per stream) computed per pass: a pass holds
+# about a dozen uint64 temporaries of [2, streams, blocks], so this bounds
+# its memory (64 KiB each) whatever the number of streams
+_PASS_BLOCKS = 4096
 
 
 def _hash_consts(init, mult, count):
@@ -167,8 +171,17 @@ def uniform_streams(seed_tree: SeedTree, tag: str, indices, n: int) -> np.ndarra
         raise ConfigError(f"stream indices must be [K, m], got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() > _MASK32):
         raise ConfigError("batched stream indices must be integers in [0, 2**32)")
-    K, blocks = len(idx), -(-n // 4)
     key = _philox_keys(seed_tree.master_seed, zlib.crc32(tag.encode("utf-8")), idx)
+    out = np.empty((len(idx), n))
+    step = max(1, _PASS_BLOCKS // -(-n // 4))
+    for lo in range(0, len(idx), step):
+        out[lo : lo + step] = _philox_uniforms(key[:, lo : lo + step], n)
+    return out
+
+
+def _philox_uniforms(key, n):
+    """First ``n`` uniforms ``[K, n]`` of the Philox streams with keys ``[2, K]``."""
+    K, blocks = key.shape[1], -(-n // 4)
     key = key[:, :, None]
     # Philox4x64 counter words (c0, c2) and (c1, c3), one lane each; block b
     # of every stream runs on counter (b + 1, 0, 0, 0)

@@ -369,6 +369,22 @@ def test_bootstrap_ci_narrows_as_alpha_grows():
     assert np.all(narrow.highs - narrow.lows < wide.highs - wide.lows)
 
 
+# one resample leaves the standard error undefined (a NaN, with warnings)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bootstrap_ci_is_numpy_linear_quantile():
+    # the percentiles equal np.quantile's default rule bit for bit,
+    # ties and one- and two-resample schedules included
+    rng = np.random.default_rng(4)
+    for B, E, alpha in [(1, 3, 0.05), (2, 3, 0.05), (100, 25, 0.05),
+                        (37, 10, 0.3), (500, 8, 0.01), (64, 2, 0.5)]:
+        phi_pe = rng.normal(size=(3, E)).round(1)
+        idx = rng.integers(0, E, size=(B, E))
+        res = bootstrap_ci(phi_pe, idx, alpha=alpha)
+        for q, got in [(alpha / 2.0, res.lows), (1.0 - alpha / 2.0, res.highs)]:
+            expect = np.quantile(res.samples, q, axis=0)
+            assert got.tobytes() == expect.tobytes()
+
+
 def test_bootstrap_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(MacieError, match="at least 2 episodes"):

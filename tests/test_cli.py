@@ -332,6 +332,19 @@ def test_config_file_errors(tmp_path, capsys):
         assert main(["run", "--config", str(unknown)]) == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
+    # an agent's alpha must be a JSON number: not null, a list, an object,
+    # a string or a bool
+    alpha = tmp_path / "alpha.json"
+    for value in [None, [0.5], {"v": 0.5}, "abc", "0.5", True, float("nan")]:
+        alpha.write_text(json.dumps({"policy.alpha.0": value}))
+        assert main(["run", "--config", str(alpha)]) == 2
+        err = capsys.readouterr().err
+        assert "'policy.alpha.0' must be a finite number" in err
+        assert err.count("\n") == 1
+    alpha.write_text(json.dumps({"policy.alpha.x": 0.5}))
+    assert main(["run", "--config", str(alpha)]) == 2
+    assert "bad agent index" in capsys.readouterr().err
+
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):

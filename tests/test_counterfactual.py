@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import macie.counterfactual
 from macie.core import ConfigError, OutcomeSpec, rewards_outcome, rewards_trace
 from macie.counterfactual import (
+    MODES,
     CounterfactualEngine,
     critical_timesteps,
 )
-from macie.envs import make_env
+from macie.envs import list_envs, make_env
 from macie.policies import BaselinePolicy, SkillPolicy, default_policies
 from macie.rng import SeedTree
 from macie.scm import StructuralCausalModel
@@ -153,6 +155,41 @@ def test_intervention_batch_matches_single_episodes(env_name, mode):
         alone_y, alone_traces = engine().intervene_and_rollout(e, 1, 3)
         assert np.array_equal(y_cf[e], alone_y)
         assert np.array_equal(traces[e], alone_traces)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("env_name", list_envs())
+def test_replays_do_not_depend_on_the_batch_split(monkeypatch, env_name, mode):
+    # a row's replay reads only its own streams, so cutting the row set
+    # into batches of 1, of 7 or not at all gives the same bits
+    scm = None
+    if mode == "scm_rollout":
+        hist = make_engine(seed=6, env_name=env_name).generate_history(12)
+        scm = StructuralCausalModel().fit(hist, OutcomeSpec())
+    n = make_env(env_name).n_agents
+    coalitions = [
+        tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n)
+    ]
+    E, K = 3, 2
+    rows = n * E * K + len(coalitions) * E
+    runs = []
+    for cap in (1, 7, rows):
+        monkeypatch.setattr(macie.counterfactual, "REPLAY_CHUNK", cap)
+        env = make_env(env_name)
+        eng = CounterfactualEngine(
+            SeedTree(6), OutcomeSpec(), env=env,
+            policies=default_policies(env.n_agents), mode=mode, scm=scm,
+        )
+        runs.append(eng.replay_table(range(E), K, coalitions))
+    y_cf, traces, y_coalitions = runs[0]
+    assert y_cf.shape == (n, E, K)
+    assert traces.shape == (n, E, K, make_env(env_name).horizon)
+    assert y_coalitions.shape == (len(coalitions), E)
+    # without coalition rows the intervention rows replay alike
+    runs.append(eng.replay_table(range(E), K)[:2] + (y_coalitions,))
+    for run in runs[1:]:
+        for x, y in zip(runs[0], run):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def test_intervention_validation():

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import macie
+import macie.counterfactual
 import macie.rng
+from macie.attribution import CoalitionValues, run_interventions
 from macie.core import ConfigError, MacieError, read_log, write_log
 from macie.report import (
     DEFAULT_EPISODES,
@@ -68,6 +70,8 @@ def test_config_validation_messages():
         (dict(tau_si=float("nan")), "tau_si must be finite"),
         (dict(epsilon_frac=float("inf")), "epsilon_frac must be finite"),
         (dict(corr_threshold=float("-inf")), "corr_threshold must be finite"),
+        (dict(corr_threshold=-1), "corr_threshold must be in \\[0, 1\\]"),
+        (dict(corr_threshold=1.5), "corr_threshold must be in \\[0, 1\\]"),
         (dict(threads=0), "threads must be >= 1"),
         (dict(threads="2"), "threads must be an integer"),
     ]
@@ -317,6 +321,53 @@ def test_pipeline_derives_each_stream_once(monkeypatch, overrides):
     # each episode's start, and every agent's actions at every replicate
     assert sum(key[0] == "reset" for key in counts) == 12
     assert sum(key[0] == "act" for key in counts) == 12 * report["n_agents"] * 3
+
+
+def test_counterfactual_stage_is_one_row_set(monkeypatch):
+    # a default run replays every agent's interventions and every coalition
+    # as one row set, in as few rollouts as the batch cap allows
+    calls = []
+    rollout_batch = macie.Environment.rollout_batch
+
+    def counting(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return rollout_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(macie.Environment, "rollout_batch", counting)
+    report = run_pipeline(RunConfig(env="gridworld"))
+    n, E, K = report["n_agents"], report["n_episodes"], report["config"]["k"]
+    rows = n * E * K + 2**n * E
+    cap = macie.counterfactual.REPLAY_CHUNK
+    assert len(calls) == 1 + -(-rows // cap)
+    # the factual episodes, then balanced batches of the row set
+    assert calls[0] == E and sum(calls[1:]) == rows
+    assert max(calls[1:]) - min(calls[1:]) <= 1
+
+
+def test_one_row_set_equals_separate_replays(monkeypatch):
+    def engine():
+        env = macie.make_env("traffic")
+        return macie.CounterfactualEngine(
+            macie.SeedTree(3), macie.OutcomeSpec(), env=env,
+            policies=macie.default_policies(env.n_agents),
+        )
+
+    E, K = 6, 3
+    values = CoalitionValues(engine(), E)
+    y_cf, traces = run_interventions(values.engine, E, K, values)
+
+    def blocked(*args, **kwargs):
+        raise AssertionError("coalition value replayed after the row set")
+
+    # every coalition value was cached from the row set
+    monkeypatch.setattr(values.engine, "_replay", blocked)
+    for i in range(3):
+        alone_y, alone_traces = engine().interventions(i, range(E), K)
+        assert y_cf[i].tobytes() == alone_y.tobytes()
+        assert traces[i].tobytes() == alone_traces.tobytes()
+    for members in values.subsets():
+        alone = engine().coalition_outcomes([(e, members) for e in range(E)])
+        assert values.per_episode(members).tobytes() == alone.tobytes()
 
 
 # -- ingested logs ------------------------------------------------------------------
