@@ -14,7 +14,6 @@ from .attribution import (
     agent_ranks,
     bootstrap_ci,
     bootstrap_indices,
-    causal_effects,
     compare_agents,
     contribution_percentages,
     efficiency_gap,
@@ -104,7 +103,6 @@ __all__ = [
     "bootstrap_ci",
     "bootstrap_indices",
     "build_explanation",
-    "causal_effects",
     "choose_action",
     "compare_agents",
     "contribution_percentages",

@@ -1,18 +1,19 @@
 """Per-agent credit assignment over episode histories.
 
-Two estimators share one coalition-value abstraction: the naive
-counterfactual effect (factual outcome minus the mean outcome with one
-agent swapped to baseline) and Shapley values over the coalition game
-v(S) = outcome when exactly the agents in S keep their policies.
-:class:`CoalitionValues` is the one cache of coalition values: per
-coalition, one vector over episodes, so Shapley enumeration, Monte Carlo
-permutations, and bootstrap resampling all reuse the same simulations
-instead of re-running them.
+Two estimators read one coalition game, v(S) = outcome when exactly the
+agents in S keep their policies: the naive counterfactual effect (factual
+outcome minus the mean outcome with one agent swapped to baseline) and
+Shapley values. :class:`CoalitionValues` is the run's one table of replayed
+rows (S, e, k), ``{S: y[E, K_S]}``: Shapley enumeration, Monte Carlo
+permutations and bootstrap resampling read its column k = 0, and agent i's
+K intervention samples are the row of coalition N minus i, so the naive
+effects and the Shapley values share those replays.
 
-:func:`run_interventions` replays every agent's interventions, and when
-asked every coalition, as one row set; it returns the replays as arrays,
-``y_cf[N, E, K]`` and ``traces[N, E, K, T]``, and
-:func:`effects_from_interventions` reduces them without a per-sample loop.
+:func:`run_interventions` replays the leave-one-out coalitions at K
+replicates, and any further coalitions at one, as one row set into the
+table; it returns the interventions as arrays, ``y_cf[N, E, K]`` and
+``traces[N, E, K, T]``, and :func:`effects_from_interventions` reduces them
+without a per-sample loop.
 """
 
 from __future__ import annotations
@@ -24,13 +25,18 @@ from math import factorial, floor
 import numpy as np
 
 from .core import ConfigError, MacieError, rewards_outcome, rewards_trace
-from .counterfactual import critical_timesteps
+from .counterfactual import critical_timesteps, leave_one_out
 
 EXACT_SHAPLEY_LIMIT = 12
 
 
 class CoalitionValues:
-    """Per-episode coalition outcomes from an engine, memoized."""
+    """A run's coalition table ``{S: y[E, K_S]}``: the outcome of each row
+    (S, e, k) the engine replayed.
+
+    Column k = 0 is v(S) per episode; a coalition not in the table is
+    replayed at k = 0 when first read.
+    """
 
     def __init__(self, engine, n_episodes):
         if n_episodes < 1:
@@ -38,15 +44,13 @@ class CoalitionValues:
         self.engine = engine
         self.n_agents = engine.n_agents
         self.n_episodes = n_episodes
-        self._cache = {}
+        self.table = {}
 
     def per_episode(self, members):
         key = tuple(sorted(set(members)))
-        if key not in self._cache:
-            self._cache[key] = self.engine.coalition_outcomes(
-                [(e, key) for e in range(self.n_episodes)]
-            )
-        return self._cache[key]
+        if key not in self.table:
+            self.replay({key: 1})
+        return self.table[key][:, 0]
 
     def value(self, members):
         return float(np.mean(self.per_episode(members)))
@@ -58,24 +62,19 @@ class CoalitionValues:
             for mask in range(2 ** self.n_agents)
         ]
 
-    def fill(self, coalitions, y):
-        """Cache ``y[C, E]``, the per-episode values of ``coalitions``."""
-        self._cache.update(zip(coalitions, y))
-        return self
+    def replay(self, coalitions, traced=()):
+        """Replay ``coalitions`` ({S: K_S}) on every episode as one row set
+        into the table; returns the traces ``{S: [E, K_S, T]}`` of those in
+        ``traced``."""
+        y, traces = self.engine.replay(range(self.n_episodes), coalitions, traced)
+        self.table.update(y)
+        return traces
 
     def precompute(self):
-        """Evaluate every coalition of every episode up front.
-
-        Runs the interventional rollouts behind all 2**n coalition values
-        as one row set; afterwards Shapley computation is pure arithmetic
-        on cached arrays. :func:`run_interventions` does the same in the
-        row set of the naive replays.
-        """
-        subsets = self.subsets()
-        y = self.engine.coalition_outcomes(
-            [(e, key) for key in subsets for e in range(self.n_episodes)]
-        )
-        return self.fill(subsets, y.reshape(len(subsets), self.n_episodes))
+        """Replay every coalition not yet in the table, as one row set;
+        afterwards Shapley computation is arithmetic on the table."""
+        self.replay({S: 1 for S in self.subsets() if S not in self.table})
+        return self
 
 
 class GameValues:
@@ -112,20 +111,25 @@ class EffectResult:
     critical: list[list[int]]  # per agent, 1-based
 
 
-def run_interventions(engine, n_episodes, n_samples, values=None):
+def run_interventions(engine, n_episodes, n_samples, values=None, coalitions=()):
     """Counterfactual replays for every (agent, episode, sample).
 
-    Returns ``(y_cf[N, E, K], traces[N, E, K, T])`` in agent order. Given a
-    :class:`CoalitionValues`, every coalition value is replayed in the same
-    row set and cached in it, as :meth:`CoalitionValues.precompute` would.
+    Sample k of agent i on episode e is the row (N minus i, e, k) of the
+    coalition game. The leave-one-out coalitions at ``n_samples``
+    replicates and ``coalitions`` at one replay as one row set into the
+    table of ``values`` (a new one if None). Returns that table's
+    leave-one-out slice, ``(y_cf[N, E, K], traces[N, E, K, T])`` in agent
+    order.
     """
-    coalitions = values.subsets() if values is not None else []
-    y_cf, traces, y_coalitions = engine.replay_table(
-        range(n_episodes), n_samples, coalitions
+    if values is None:
+        values = CoalitionValues(engine, n_episodes)
+    loo = [leave_one_out(engine.n_agents, i) for i in range(engine.n_agents)]
+    counts = dict.fromkeys(coalitions, 1) | dict.fromkeys(loo, n_samples)
+    traces = values.replay(counts, traced=loo)
+    return (
+        np.stack([values.table[S] for S in loo]),
+        np.stack([traces[S] for S in loo]),
     )
-    if values is not None:
-        values.fill(coalitions, y_coalitions)
-    return y_cf, traces
 
 
 def effects_from_interventions(engine, replays):
@@ -169,12 +173,6 @@ def effects_from_interventions(engine, replays):
         cf_traces=cf_traces,
         critical=critical,
     )
-
-
-def causal_effects(engine, n_episodes, n_samples):
-    """Naive counterfactual effects in one call; see the two halves above."""
-    replays = run_interventions(engine, n_episodes, n_samples)
-    return effects_from_interventions(engine, replays)
 
 
 # -- Shapley ------------------------------------------------------------------

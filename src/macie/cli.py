@@ -79,18 +79,14 @@ def load_config_file(path):
             overrides[_CONFIG_KEY_TO_FIELD[key]] = value
         elif key.startswith("policy.alpha."):
             tail = key[len("policy.alpha."):]
-            try:
-                agent = int(tail)
-            except ValueError:
-                raise ConfigError(
-                    f"bad agent index in config key {key!r}"
-                ) from None
+            if not _is_agent_index(tail):
+                raise ConfigError(f"bad agent index in config key {key!r}")
             if not _is_finite(value):
                 raise ConfigError(
                     f"config key {key!r} must be a finite number, "
                     f"got {json.dumps(value)}"
                 )
-            alphas[agent] = float(value)
+            alphas[int(tail)] = float(value)
         elif key.startswith("env."):
             env_config[key[len("env."):]] = value
         else:
@@ -102,12 +98,20 @@ def load_config_file(path):
     return overrides
 
 
+def _is_agent_index(text):
+    """Whether ``text`` is an agent index: ASCII decimal digits only
+    (``int`` also reads signs, spaces, underscores and other scripts' digits)."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_alpha_flags(pairs):
     out = {}
     for raw in pairs or []:
         if "=" not in raw:
             raise ConfigError(f"--alpha expects I=V, got {raw!r}")
         left, right = raw.split("=", 1)
+        if not _is_agent_index(left):
+            raise ConfigError(f"bad agent index in --alpha {raw!r}")
         try:
             out[int(left)] = float(right)
         except ValueError:
@@ -146,8 +150,6 @@ def _build_config(args):
         merged = dict(overrides.get("alphas", {}))
         merged.update(alpha_flags)
         overrides["alphas"] = merged
-    if "alphas" in overrides:
-        overrides["alphas"] = {int(k): float(v) for k, v in overrides["alphas"].items()}
     return RunConfig(**overrides).validate()
 
 

@@ -24,18 +24,18 @@ history is indexed, and simulated episodes are kept per engine as their
 rows of the batched rollout, so each is simulated once. Factual outcomes,
 traces, start states and first joint actions are read off those arrays.
 
-A replay is a row: an episode, the agents swapped to the baseline policy,
-each agent's replicate and the environment's replicate, held as arrays over
-a row axis. :meth:`CounterfactualEngine.replay_table` replays a run's whole
-row table as one set: every agent's interventions over (episode, sample),
-then the coalitions over (coalition, episode). It returns
-``(y_cf[N, E, K], traces[N, E, K, T], y_coalitions[C, E])``; only the
-intervention rows get traces. ``interventions`` (one agent's
-``(y_cf[E, K], traces[E, K, T])``, with ``intervene_and_rollout`` its
-one-episode case) and ``coalition_outcomes`` (``y[B]`` of the pairs it is
-given) replay smaller sets the same way, and keep nothing;
-:class:`macie.attribution.CoalitionValues` is the one cache of coalition
-values.
+A replay is a row (S, e, k) of the coalition game: coalition S, the agents
+that keep their policies, on episode e at replicate k. The agents outside S
+play the baseline policy and draw from replicate k, and so does the
+environment; the members draw from replicate 0. Sample k of agent i's
+intervention is the row (N minus i, e, k), and the value of S on episode e
+is (S, e, 0). :meth:`CounterfactualEngine.replay` is the one entry point: it
+replays the rows of the coalitions it is given, each with its replicate
+count, as one row set, builds each row once, and traces only the rows of
+the coalitions it is asked to trace. ``intervene_and_rollout`` and
+``coalition_outcome`` are its one-episode reads, and the engine keeps no
+outcome; :class:`macie.attribution.CoalitionValues` is the one table of
+them.
 
 Both modes cut a row set into ceil(B / ``REPLAY_CHUNK``) batches of equal
 size (give or take one row). ``env_resim`` simulates a batch as one batched
@@ -49,10 +49,12 @@ split into batches never changes a result.
 
 Each stream is derived once per run. What several rows read (an episode's
 start, its replicate-0 action uniforms and its environment uniforms per
-replicate) is kept on the engine, derived in one call for the keys a batch
-first needs, and gathered into the batch by indexing. A later replicate of
-one agent's actions, which only its own replay reads, is drawn for the
-whole batch in one call of :func:`macie.rng.uniform_streams`.
+replicate) is derived in one call for the keys a batch first needs and
+gathered into the batch by indexing. The engine keeps the replicate-0
+draws; the environment's later replicates live only while one row set
+replays. A later replicate of one agent's actions, which only its own
+replay reads, is drawn for the whole batch in one call of
+:func:`macie.rng.uniform_streams`.
 """
 
 from __future__ import annotations
@@ -131,7 +133,8 @@ class CounterfactualEngine:
         self._factual: dict[int, tuple] = {}
         # draws several rows read, by stream key: episode -> start state,
         # episode -> replicate-0 action uniforms [T, n, 2],
-        # (episode, replicate) -> environment uniforms [T, n, 2]
+        # (episode, replicate) -> environment uniforms [T, n, 2], the
+        # replicates above 0 only while one row set replays
         self._starts: dict[tuple, np.ndarray] = {}
         self._act0: dict[tuple, np.ndarray] = {}
         self._env_u: dict[tuple, np.ndarray] = {}
@@ -188,10 +191,6 @@ class CounterfactualEngine:
             *(np.array(a) for a in zip(*rows)),
             seeds=np.array(episodes, dtype=np.int64),
         )
-
-    def factual_outcome(self, e):
-        fact = self.factual(e)
-        return float(rewards_outcome(fact.team, fact.length, self.outcome)[0])
 
     def generate_history(self, n_episodes):
         if self.env is None:
@@ -292,6 +291,8 @@ class CounterfactualEngine:
                 y = rewards_outcome(team, length, self.outcome)
             traces.append(trace)
             outcomes.append(y)
+        # only the rows of one set read an environment replicate above 0
+        self._env_u = {key: u for key, u in self._env_u.items() if key[1] == 0}
         return np.concatenate(traces), np.concatenate(outcomes)
 
     def _scm_outcomes(self, episodes, baseline, reps):
@@ -330,99 +331,74 @@ class CounterfactualEngine:
     def epsilon(self, y_fact):
         return self.epsilon_frac * max(abs(y_fact), 1e-9)
 
+    def replay(self, episodes, coalitions, traced=()):
+        """Replay the rows (S, e, k) of ``coalitions`` on ``episodes`` as one
+        row set.
+
+        ``coalitions`` maps each coalition S, the agents that keep their
+        policies, to its replicate count K_S; every row is built once.
+        Returns ``(y, traces)``: ``y[S]`` is ``[E, K_S]`` and ``traces[S]``
+        is ``[E, K_S, T]`` for each S in ``traced``, the only rows traced.
+        """
+        if not coalitions:
+            return {}, {}
+        episodes = np.array(list(episodes), dtype=np.int64)
+        E = len(episodes)
+        # traced rows first, so that they are a prefix of the row set
+        coalitions = dict(sorted(coalitions.items(), key=lambda c: c[0] not in traced))
+        trace, y = self._replay_outcomes(
+            self._rows(episodes, coalitions), E * sum(coalitions[S] for S in traced)
+        )
+        ys, traces, lo = {}, {}, 0
+        for S, K in coalitions.items():
+            ys[S] = y[lo : lo + E * K].reshape(E, K)
+            if S in traced:
+                traces[S] = trace[lo : lo + E * K].reshape(E, K, -1)
+            lo += E * K
+        return ys, traces
+
+    def _rows(self, episodes, coalitions):
+        """Replay rows (S, e, k) over ``coalitions`` ({S: K_S}) x ``episodes``
+        x replicates ``k < K_S``, in that order: the agents outside S play
+        the baseline and draw from replicate k, and so does the environment;
+        the members draw from replicate 0."""
+        n, E = self.n_agents, len(episodes)
+        masks = np.ones((len(coalitions), n), dtype=bool)
+        for c, (members, count) in enumerate(coalitions.items()):
+            bad = [i for i in members if not 0 <= i < n]
+            if bad:
+                raise ConfigError(f"coalition members out of range: {bad}")
+            if count < 1:
+                raise ConfigError(f"need at least one sample, got {count}")
+            masks[c, list(members)] = False
+        counts = np.fromiter(coalitions.values(), dtype=np.int64)
+        sizes = E * counts
+        which = np.repeat(np.arange(len(counts)), sizes)
+        K = counts[which]
+        offset = np.arange(len(which)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        k = offset % K
+        baseline = masks[which]
+        return episodes[offset // K], baseline, np.where(baseline, k[:, None], 0), k
+
     def intervene_and_rollout(self, e, agent, n_samples):
-        """Replace one agent's policy with the baseline, K times.
+        """Replace one agent's policy with the baseline, K times: the rows
+        (N minus the agent, e, k).
 
         Returns ``(y_cf[K], traces[K, T])`` for episode ``e``.
         """
-        y_cf, traces = self.interventions(agent, [e], n_samples)
-        return y_cf[0], traces[0]
-
-    def interventions(self, agent, episodes, n_samples):
-        """``intervene_and_rollout`` for each episode, as one row set.
-
-        Returns ``(y_cf[E, K], traces[E, K, T])``: sample ``k`` of episode
-        ``episodes[i]`` swaps ``agent`` to the baseline at replicate ``k``.
-        """
-        if not 0 <= agent < self.n_agents:
-            raise ConfigError(f"agent {agent} out of range (n={self.n_agents})")
-        episodes = np.array(list(episodes), dtype=np.int64)
-        rows = self._intervention_rows([agent], episodes, n_samples)
-        traces, y_cf = self._replay_outcomes(rows, len(rows[0]))
-        E = len(episodes)
-        return y_cf.reshape(E, n_samples), traces.reshape(E, n_samples, -1)
-
-    def replay_table(self, episodes, n_samples, coalitions=()):
-        """Every agent's interventions and the ``coalitions``' outcomes on
-        ``episodes``, replayed as one row set.
-
-        Returns ``(y_cf[N, E, K], traces[N, E, K, T], y_coalitions[C, E])``:
-        ``y_cf[i]`` and ``traces[i]`` are ``interventions(i, episodes, K)``
-        and ``y_coalitions[c, j]`` is
-        ``coalition_outcome(episodes[j], coalitions[c])``. Coalition rows
-        get no trace.
-        """
-        episodes = np.array(list(episodes), dtype=np.int64)
-        n, E, K = self.n_agents, len(episodes), n_samples
-        cf_rows = self._intervention_rows(range(n), episodes, K)
-        coalition_rows = self._coalition_rows(
-            [(e, members) for members in coalitions for e in episodes.tolist()]
-        )
-        rows = [np.concatenate(a) for a in zip(cf_rows, coalition_rows)]
-        traced = n * E * K
-        traces, y = self._replay_outcomes(rows, traced)
-        return (
-            y[:traced].reshape(n, E, K),
-            traces.reshape(n, E, K, -1),
-            y[traced:].reshape(len(coalitions), E),
-        )
-
-    def _intervention_rows(self, agents, episodes, n_samples):
-        """Replay rows of ``agents`` x ``episodes`` x samples, in that order:
-        sample ``k`` swaps the agent to the baseline and moves its stream
-        and the environment's to replicate ``k``."""
-        if n_samples < 1:
-            raise ConfigError(f"need at least one sample, got {n_samples}")
-        agents = np.asarray(agents, dtype=np.int64)
-        n, E, K = self.n_agents, len(episodes), n_samples
-        B = len(agents) * E * K
-        swapped = np.repeat(agents, E * K)
-        k = np.tile(np.arange(K, dtype=np.int64), len(agents) * E)
-        baseline = np.zeros((B, n), dtype=bool)
-        baseline[np.arange(B), swapped] = True
-        reps = np.zeros((B, n), dtype=np.int64)
-        reps[np.arange(B), swapped] = k
-        return np.tile(np.repeat(episodes, K), len(agents)), baseline, reps, k
-
-    # -- coalitions --------------------------------------------------------------
+        S = leave_one_out(self.n_agents, agent)
+        y, traces = self.replay([e], {S: n_samples}, traced=[S])
+        return y[S][0], traces[S][0]
 
     def coalition_outcome(self, e, members):
-        """Outcome with non-members swapped to the baseline policy."""
-        return float(self.coalition_outcomes([(e, members)])[0])
+        """Outcome with non-members swapped to the baseline policy: the row
+        (members, e, 0)."""
+        y, _ = self.replay([e], {tuple(members): 1})
+        return float(y[tuple(members)][0, 0])
 
-    def coalition_outcomes(self, pairs):
-        """``coalition_outcome`` of each (episode, members) pair, as one
-        row set returning ``y[B]``;
-        :class:`macie.attribution.CoalitionValues` keeps them.
-        """
-        _, y = self._replay_outcomes(self._coalition_rows(pairs), 0)
-        return y
 
-    def _coalition_rows(self, pairs):
-        """Replay rows of (episode, members) pairs: non-members swapped to
-        the baseline, every stream at replicate 0."""
-        n, B = self.n_agents, len(pairs)
-        coalitions = [tuple(members) for _, members in pairs]
-        # one mask per distinct coalition, shared by its episodes' rows
-        masks = {}
-        for key in dict.fromkeys(coalitions):
-            bad = [i for i in key if not 0 <= i < n]
-            if bad:
-                raise ConfigError(f"coalition members out of range: {bad}")
-            masks[key] = ~np.isin(np.arange(n), key)
-        return (
-            np.array([e for e, _ in pairs], dtype=np.int64),
-            np.array([masks[key] for key in coalitions], dtype=bool).reshape(B, n),
-            np.zeros((B, n), dtype=np.int64),
-            np.zeros(B, dtype=np.int64),
-        )
+def leave_one_out(n_agents, agent):
+    """The coalition of every agent but ``agent``."""
+    if not 0 <= agent < n_agents:
+        raise ConfigError(f"agent {agent} out of range (n={n_agents})")
+    return tuple(j for j in range(n_agents) if j != agent)

@@ -313,11 +313,12 @@ def run_pipeline(config: RunConfig, history: History | None = None):
 
     t0 = time.perf_counter_ns()
     values = CoalitionValues(engine, episodes)
-    # coalition replays are interventional rollouts too; running them in
-    # the same row set leaves the later steps as arithmetic on cached values
+    # the Shapley methods read every coalition value; replaying them in the
+    # row set of the interventions leaves the later steps as arithmetic on
+    # the table
     cached = config.method != "naive_cf" and n <= EXACT_SHAPLEY_LIMIT
     replays = run_interventions(
-        engine, episodes, config.k, values if cached else None
+        engine, episodes, config.k, values, values.subsets() if cached else ()
     )
     timings["2"] = time.perf_counter_ns() - t0
 

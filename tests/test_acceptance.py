@@ -15,9 +15,10 @@ from macie.attribution import (
     GameValues,
     bootstrap_ci,
     bootstrap_indices,
-    causal_effects,
     compare_agents,
     contribution_percentages,
+    effects_from_interventions,
+    run_interventions,
     sample_permutations,
     shapley_exact,
     shapley_mc,
@@ -294,7 +295,9 @@ def test_c08_null_intervention_is_exactly_zero():
         env=env,
         policies=[SkillPolicy(0.0), SkillPolicy(0.0)],
     )
-    effects = causal_effects(engine, n_episodes=10, n_samples=1)
+    effects = effects_from_interventions(
+        engine, run_interventions(engine, n_episodes=10, n_samples=1)
+    )
     worst = float(np.max(np.abs(effects.phi_pe)))
     verdict(
         "null intervention attribution",

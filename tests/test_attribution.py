@@ -8,7 +8,6 @@ from macie.attribution import (
     agent_ranks,
     bootstrap_ci,
     bootstrap_indices,
-    causal_effects,
     compare_agents,
     contribution_percentages,
     effects_from_interventions,
@@ -233,21 +232,14 @@ def test_effect_grid_shapes_and_aggregation():
     assert res.y_cf_pe.shape == (2, 4)
     assert res.phi == pytest.approx(res.phi_pe.mean(axis=1))
     assert res.phi == pytest.approx(res.y_fact - res.y_cf)
+    facts = eng.factuals(range(4))
     assert res.y_fact == pytest.approx(
-        np.mean([eng.factual_outcome(e) for e in range(4)])
+        np.mean(rewards_outcome(facts.team, facts.length, eng.outcome))
     )
     assert res.fact_trace.shape == (eng.horizon,)
     assert res.cf_traces.shape == (2, eng.horizon)
     for crit in res.critical:
         assert all(1 <= t <= eng.horizon for t in crit)
-
-
-def test_causal_effects_equals_two_step_path():
-    one = causal_effects(make_engine(seed=23), n_episodes=3, n_samples=2)
-    eng = make_engine(seed=23)
-    two = effects_from_interventions(eng, run_interventions(eng, 3, 2))
-    assert np.array_equal(one.phi, two.phi)
-    assert one.critical == two.critical
 
 
 class _FixedFactuals:

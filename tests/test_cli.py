@@ -65,6 +65,10 @@ def test_invalid_config_value_returns_2(capsys):
 
 def test_bad_alpha_and_emit_flags_return_2(capsys):
     assert main(["run", "--env", "gridworld", "--alpha", "fast"]) == 2
+    for index in ["0_1", " 0", "+0", "\u0663"]:
+        flag = f"{index}=0.5"
+        assert main(["run", "--env", "gridworld", "--alpha", flag]) == 2
+        assert "bad agent index" in capsys.readouterr().err
     assert main(["run", "--env", "gridworld", "--emit", "pdf=x"]) == 2
 
 
@@ -341,9 +345,11 @@ def test_config_file_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "'policy.alpha.0' must be a finite number" in err
         assert err.count("\n") == 1
-    alpha.write_text(json.dumps({"policy.alpha.x": 0.5}))
-    assert main(["run", "--config", str(alpha)]) == 2
-    assert "bad agent index" in capsys.readouterr().err
+    # an agent index is ASCII decimal digits, which int() alone does not check
+    for index in ["x", "0_1", " 0", "+0", "-0", "\u0663", "0.0", ""]:
+        alpha.write_text(json.dumps({f"policy.alpha.{index}": 0.5}))
+        assert main(["run", "--config", str(alpha)]) == 2
+        assert "bad agent index" in capsys.readouterr().err
 
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from macie.attribution import CoalitionValues, GameValues, causal_effects
+from macie.attribution import (
+    CoalitionValues,
+    GameValues,
+    effects_from_interventions,
+    run_interventions,
+)
 from macie.collective import (
     EmergenceMetrics,
     _step_correlations,
@@ -229,7 +234,7 @@ def test_additive_environment_shows_no_synergy():
     eng = CounterfactualEngine(
         SeedTree(42), OutcomeSpec(), env=env, policies=default_policies(env.n_agents)
     )
-    eff = causal_effects(eng, n_episodes=20, n_samples=5)
+    eff = effects_from_interventions(eng, run_interventions(eng, 20, 5))
     values = CoalitionValues(eng, n_episodes=20)
     sigma = synergy_matrix(values, eff.phi)
     assert abs(sigma[0, 1]) < 0.1

@@ -7,6 +7,7 @@ from macie.counterfactual import (
     MODES,
     CounterfactualEngine,
     critical_timesteps,
+    leave_one_out,
 )
 from macie.envs import list_envs, make_env
 from macie.policies import BaselinePolicy, SkillPolicy, default_policies
@@ -20,6 +21,11 @@ def make_engine(seed=42, env_name="gridworld", alphas=None, **overrides):
     env = make_env(env_name, overrides=overrides or None)
     pols = default_policies(env.n_agents, alphas=alphas)
     return CounterfactualEngine(SeedTree(seed), OutcomeSpec(), env=env, policies=pols)
+
+
+def factual_outcome(eng, e):
+    fact = eng.factual(e)
+    return float(rewards_outcome(fact.team, fact.length, eng.outcome)[0])
 
 
 def test_factual_is_cached_and_deterministic(monkeypatch):
@@ -59,7 +65,7 @@ def test_grand_coalition_equals_factual_outcome():
     eng = make_engine()
     for e in range(5):
         grand = eng.coalition_outcome(e, (0, 1))
-        assert grand == eng.factual_outcome(e)
+        assert grand == factual_outcome(eng, e)
 
 
 def test_coalition_outcome_ignores_member_order():
@@ -81,7 +87,7 @@ def test_empty_coalition_is_all_baseline():
         SeedTree(5), OutcomeSpec(), env=env, policies=[BaselinePolicy()] * 2
     )
     for e in range(3):
-        assert eng.coalition_outcome(e, ()) == base.factual_outcome(e)
+        assert eng.coalition_outcome(e, ()) == factual_outcome(base, e)
 
 
 def test_null_intervention_with_one_sample_is_exact():
@@ -98,7 +104,7 @@ def test_null_intervention_with_one_sample_is_exact():
     for e in range(6):
         fact = eng.factual(e)
         fact_trace = rewards_trace(fact.team, fact.length, eng.outcome)[0]
-        y_fact = eng.factual_outcome(e)
+        y_fact = factual_outcome(eng, e)
         for agent in range(2):
             y_cf, traces = eng.intervene_and_rollout(e, agent, n_samples=1)
             assert y_cf.mean() == y_fact
@@ -121,9 +127,11 @@ def test_intervention_shapes():
     y_cf, traces = eng.intervene_and_rollout(0, 1, n_samples=3)
     assert y_cf.shape == (3,)
     assert traces.shape == (3, eng.horizon)
-    y_cf, traces = eng.interventions(1, [0, 2], 3)
-    assert y_cf.shape == (2, 3)
-    assert traces.shape == (2, 3, eng.horizon)
+    y, traces = eng.replay([0, 2], {(0,): 3, (): 1}, traced=[(0,)])
+    assert y[(0,)].shape == (2, 3)
+    assert traces[(0,)].shape == (2, 3, eng.horizon)
+    assert y[()].shape == (2, 1)
+    assert list(traces) == [(0,)]
 
 
 @pytest.mark.parametrize(
@@ -150,11 +158,12 @@ def test_intervention_batch_matches_single_episodes(env_name, mode):
             policies=default_policies(env.n_agents), mode=mode, scm=scm,
         )
 
-    y_cf, traces = engine().interventions(1, range(5), 3)
+    S = leave_one_out(make_env(env_name).n_agents, 1)
+    y, traces = engine().replay(range(5), {S: 3}, traced=[S])
     for e in range(5):
         alone_y, alone_traces = engine().intervene_and_rollout(e, 1, 3)
-        assert np.array_equal(y_cf[e], alone_y)
-        assert np.array_equal(traces[e], alone_traces)
+        assert np.array_equal(y[S][e], alone_y)
+        assert np.array_equal(traces[S][e], alone_traces)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -167,11 +176,14 @@ def test_replays_do_not_depend_on_the_batch_split(monkeypatch, env_name, mode):
         hist = make_engine(seed=6, env_name=env_name).generate_history(12)
         scm = StructuralCausalModel().fit(hist, OutcomeSpec())
     n = make_env(env_name).n_agents
-    coalitions = [
-        tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n)
-    ]
+    loo = [leave_one_out(n, i) for i in range(n)]
     E, K = 3, 2
-    rows = n * E * K + len(coalitions) * E
+    counts = {
+        tuple(i for i in range(n) if mask >> i & 1): 1 for mask in range(2**n)
+    }
+    counts.update(dict.fromkeys(loo, K))
+    rows = E * sum(counts.values())
+    assert rows == n * E * K + (2**n - n) * E
     runs = []
     for cap in (1, 7, rows):
         monkeypatch.setattr(macie.counterfactual, "REPLAY_CHUNK", cap)
@@ -180,16 +192,27 @@ def test_replays_do_not_depend_on_the_batch_split(monkeypatch, env_name, mode):
             SeedTree(6), OutcomeSpec(), env=env,
             policies=default_policies(env.n_agents), mode=mode, scm=scm,
         )
-        runs.append(eng.replay_table(range(E), K, coalitions))
-    y_cf, traces, y_coalitions = runs[0]
-    assert y_cf.shape == (n, E, K)
-    assert traces.shape == (n, E, K, make_env(env_name).horizon)
-    assert y_coalitions.shape == (len(coalitions), E)
-    # without coalition rows the intervention rows replay alike
-    runs.append(eng.replay_table(range(E), K)[:2] + (y_coalitions,))
-    for run in runs[1:]:
-        for x, y in zip(runs[0], run):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        runs.append(eng.replay(range(E), counts, traced=loo))
+    y, traces = runs[0]
+    assert set(y) == set(counts) and set(traces) == set(loo)
+    for S, K_S in counts.items():
+        assert y[S].shape == (E, K_S)
+    for S in loo:
+        assert traces[S].shape == (E, K, env.horizon)
+    for y_run, traces_run in runs[1:]:
+        for S in counts:
+            assert same_bits(y[S], y_run[S])
+        for S in loo:
+            assert same_bits(traces[S], traces_run[S])
+    # without the other coalitions' rows the leave-one-out rows replay alike
+    y_loo, traces_loo = eng.replay(range(E), dict.fromkeys(loo, K), traced=loo)
+    for S in loo:
+        assert same_bits(y[S], y_loo[S])
+        assert same_bits(traces[S], traces_loo[S])
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def test_intervention_validation():
@@ -264,7 +287,7 @@ def test_scm_rollout_on_ingested_history():
     )
     assert eng.n_agents == 2
     assert eng.horizon == sim.env.horizon
-    assert eng.factual_outcome(0) == rewards_outcome(hist.team, hist.length)[0]
+    assert factual_outcome(eng, 0) == rewards_outcome(hist.team, hist.length)[0]
     assert same_arrays(eng.factual(0), hist.take([0]))
 
     y_cf, traces = eng.intervene_and_rollout(0, 0, n_samples=3)

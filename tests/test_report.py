@@ -13,6 +13,7 @@ import macie.counterfactual
 import macie.rng
 from macie.attribution import CoalitionValues, run_interventions
 from macie.core import ConfigError, MacieError, read_log, write_log
+from macie.counterfactual import MODES, leave_one_out
 from macie.report import (
     DEFAULT_EPISODES,
     KNOWN_REPORT_KEYS,
@@ -324,8 +325,9 @@ def test_pipeline_derives_each_stream_once(monkeypatch, overrides):
 
 
 def test_counterfactual_stage_is_one_row_set(monkeypatch):
-    # a default run replays every agent's interventions and every coalition
-    # as one row set, in as few rollouts as the batch cap allows
+    # a default run replays every agent's interventions and every other
+    # coalition as one row set, each row (S, e, k) once, in as few rollouts
+    # as the batch cap allows
     calls = []
     rollout_batch = macie.Environment.rollout_batch
 
@@ -336,7 +338,9 @@ def test_counterfactual_stage_is_one_row_set(monkeypatch):
     monkeypatch.setattr(macie.Environment, "rollout_batch", counting)
     report = run_pipeline(RunConfig(env="gridworld"))
     n, E, K = report["n_agents"], report["n_episodes"], report["config"]["k"]
-    rows = n * E * K + 2**n * E
+    # sample 0 of agent i's interventions is the value of coalition N - {i}
+    rows = n * E * K + (2**n - n) * E
+    assert rows == 300
     cap = macie.counterfactual.REPLAY_CHUNK
     assert len(calls) == 1 + -(-rows // cap)
     # the factual episodes, then balanced batches of the row set
@@ -345,29 +349,59 @@ def test_counterfactual_stage_is_one_row_set(monkeypatch):
 
 
 def test_one_row_set_equals_separate_replays(monkeypatch):
-    def engine():
-        env = macie.make_env("traffic")
-        return macie.CounterfactualEngine(
-            macie.SeedTree(3), macie.OutcomeSpec(), env=env,
-            policies=macie.default_policies(env.n_agents),
-        )
-
+    env = macie.make_env("traffic")
+    hist = macie.CounterfactualEngine(
+        macie.SeedTree(3), macie.OutcomeSpec(), env=env,
+        policies=macie.default_policies(env.n_agents),
+    ).generate_history(12)
+    scm = macie.StructuralCausalModel().fit(hist, macie.OutcomeSpec())
     E, K = 6, 3
-    values = CoalitionValues(engine(), E)
-    y_cf, traces = run_interventions(values.engine, E, K, values)
 
     def blocked(*args, **kwargs):
         raise AssertionError("coalition value replayed after the row set")
 
-    # every coalition value was cached from the row set
-    monkeypatch.setattr(values.engine, "_replay", blocked)
-    for i in range(3):
-        alone_y, alone_traces = engine().interventions(i, range(E), K)
-        assert y_cf[i].tobytes() == alone_y.tobytes()
-        assert traces[i].tobytes() == alone_traces.tobytes()
-    for members in values.subsets():
-        alone = engine().coalition_outcomes([(e, members) for e in range(E)])
-        assert values.per_episode(members).tobytes() == alone.tobytes()
+    for mode in MODES:
+
+        def engine():
+            return macie.CounterfactualEngine(
+                macie.SeedTree(3), macie.OutcomeSpec(), env=env,
+                policies=macie.default_policies(env.n_agents), mode=mode,
+                scm=scm,
+            )
+
+        values = CoalitionValues(engine(), E)
+        y_cf, traces = run_interventions(
+            values.engine, E, K, values, values.subsets()
+        )
+        # every coalition value was kept from the row set
+        with monkeypatch.context() as m:
+            m.setattr(values.engine, "_replay_outcomes", blocked)
+            table = {S: values.per_episode(S) for S in values.subsets()}
+        for i in range(3):
+            S = leave_one_out(3, i)
+            alone_y, alone_traces = engine().replay(range(E), {S: K}, traced=[S])
+            assert y_cf[i].tobytes() == alone_y[S].tobytes()
+            assert traces[i].tobytes() == alone_traces[S].tobytes()
+            assert values.table[S].tobytes() == y_cf[i].tobytes()
+        for S, v in table.items():
+            alone, _ = engine().replay(range(E), {S: 1})
+            assert v.tobytes() == alone[S][:, 0].tobytes()
+
+
+def test_pipeline_keeps_no_later_environment_replicates(monkeypatch):
+    # replicates above 0 are read by the replay rows of one row set only
+    engines = []
+    setup = macie.report._setup
+
+    def keeping(*args, **kwargs):
+        engines.append(setup(*args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(macie.report, "_setup", keeping)
+    run_pipeline(small_config(env="traffic", method="naive_cf"))
+    engine = engines[0][0]
+    assert engine._env_u
+    assert {rep for _, rep in engine._env_u} == {0}
 
 
 # -- ingested logs ------------------------------------------------------------------
