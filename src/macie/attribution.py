@@ -10,10 +10,12 @@ K intervention samples are the row of coalition N minus i, so the naive
 effects and the Shapley values share those replays.
 
 :func:`run_interventions` replays the leave-one-out coalitions at K
-replicates, and any further coalitions at one, as one row set into the
-table; it returns the interventions as arrays, ``y_cf[N, E, K]`` and
-``traces[N, E, K, T]``, and :func:`effects_from_interventions` reduces them
-without a per-sample loop.
+replicates, and the coalitions a run reads later (:func:`shapley_coalitions`
+for its estimator) at one, as one row set into the table; it returns the
+interventions as arrays, ``y_cf[N, E, K]`` and ``traces[N, E, K, T]``, and
+:func:`effects_from_interventions` reduces them without a per-sample loop.
+A coalition missing from the table is replayed when first read, which the
+pipeline never needs.
 """
 
 from __future__ import annotations
@@ -55,13 +57,6 @@ class CoalitionValues:
     def value(self, members):
         return float(np.mean(self.per_episode(members)))
 
-    def subsets(self):
-        """All 2**n coalitions, as sorted member tuples in bitmask order."""
-        return [
-            tuple(i for i in range(self.n_agents) if mask >> i & 1)
-            for mask in range(2 ** self.n_agents)
-        ]
-
     def replay(self, coalitions, traced=()):
         """Replay ``coalitions`` ({S: K_S}) on every episode as one row set
         into the table; returns the traces ``{S: [E, K_S, T]}`` of those in
@@ -73,7 +68,8 @@ class CoalitionValues:
     def precompute(self):
         """Replay every coalition not yet in the table, as one row set;
         afterwards Shapley computation is arithmetic on the table."""
-        self.replay({S: 1 for S in self.subsets() if S not in self.table})
+        every = shapley_coalitions(self.n_agents)
+        self.replay({S: 1 for S in every if S not in self.table})
         return self
 
 
@@ -178,24 +174,40 @@ def effects_from_interventions(engine, replays):
 # -- Shapley ------------------------------------------------------------------
 
 
-def shapley_exact(values, n_agents=None):
+def shapley_coalitions(n_agents, permutations=None):
+    """The coalitions a Shapley estimate reads, as sorted member tuples.
+
+    Exact enumeration reads all 2**n, in bitmask order; a permutation
+    schedule reads the prefix sets of its orderings. Both hold the empty
+    and the grand coalition, which the efficiency check reads.
+    """
+    if permutations is not None:
+        return [
+            tuple(sorted(row[:k]))
+            for row in np.asarray(permutations).tolist()
+            for k in range(n_agents + 1)
+        ]
+    if n_agents > EXACT_SHAPLEY_LIMIT:
+        raise ConfigError(
+            f"exact Shapley enumerates 2^n coalitions and is capped at "
+            f"n={EXACT_SHAPLEY_LIMIT}; got n={n_agents}, use method shapley_mc"
+        )
+    return [
+        tuple(i for i in range(n_agents) if mask >> i & 1)
+        for mask in range(2**n_agents)
+    ]
+
+
+def shapley_exact(values):
     """Exact Shapley values by full coalition enumeration.
 
     Returns (phi, phi_pe); phi_pe holds one Shapley vector per episode so
     callers can bootstrap over episodes.
     """
-    n = values.n_agents if n_agents is None else n_agents
-    if n > EXACT_SHAPLEY_LIMIT:
-        raise ConfigError(
-            f"exact Shapley enumerates 2^n coalitions and is capped at "
-            f"n={EXACT_SHAPLEY_LIMIT}; got n={n}, use method shapley_mc"
-        )
+    n = values.n_agents
+    members_of = shapley_coalitions(n)
     E = values.n_episodes
     phi_pe = np.zeros((n, E))
-    members_of = {
-        mask: tuple(j for j in range(n) if mask >> j & 1)
-        for mask in range(1 << n)
-    }
     fact = [factorial(k) for k in range(n + 1)]
     denom = fact[n]
     for i in range(n):

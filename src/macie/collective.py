@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from math import log
 
 import numpy as np
@@ -22,6 +23,14 @@ DEFAULT_N_BINS = 4
 SI_BOUND = 2.0
 
 
+def emergence_coalitions(n_agents):
+    """The coalitions the emergence metrics read: N and the singletons
+    (synergy index), and N minus each pair (synergy matrix)."""
+    grand = tuple(range(n_agents))
+    rests = [tuple(k for k in grand if k not in p) for p in combinations(grand, 2)]
+    return [grand, *((i,) for i in grand), *rests]
+
+
 def synergy_matrix(values, phi):
     """sigma_ij = v(all) - v(all minus {i, j}) - phi_i - phi_j, zero diagonal."""
     n = values.n_agents
@@ -30,12 +39,9 @@ def synergy_matrix(values, phi):
         raise ConfigError(f"expected {n} attributions, got {len(phi)}")
     grand = values.value(tuple(range(n)))
     sigma = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            rest = tuple(k for k in range(n) if k != i and k != j)
-            s = grand - values.value(rest) - phi[i] - phi[j]
-            sigma[i, j] = s
-            sigma[j, i] = s
+    for i, j in combinations(range(n), 2):
+        rest = tuple(k for k in range(n) if k not in (i, j))
+        sigma[i, j] = sigma[j, i] = grand - values.value(rest) - phi[i] - phi[j]
     return sigma
 
 

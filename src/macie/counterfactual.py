@@ -1,51 +1,42 @@
 """Interventional rollouts against factual episodes.
 
 Every simulation draws from named substreams of one master seed:
-
-- ``reset``/episode: initial conditions, shared by factual, counterfactual,
-  and coalition runs (interventions never change where an episode starts);
-- ``env``/episode/replicate: environment noise;
-- ``act``/episode/agent/replicate: that agent's action uniforms.
-
-Replicate 0 is the factual draw. Counterfactual sample k for agent i swaps
-in the baseline policy for i and moves only agent i's stream and the
-environment stream to replicate k, so the other agents keep their factual
-randomness (common random numbers). Because replicate 0 is shared, an
-"intervention" that installs a policy identical to the factual one
-reproduces the factual episode bit for bit, and the grand coalition
-evaluates exactly to the factual outcome.
-
-Two propagation modes: ``env_resim`` replays through the real simulator;
-``scm_rollout`` replays through the fitted structural model, which also
-works for ingested histories with no simulator attached.
-
-Factual episodes are rows of a :class:`macie.core.History`: an ingested
-history is indexed, and simulated episodes are kept per engine as their
-rows of the batched rollout, so each is simulated once. Factual outcomes,
-traces, start states and first joint actions are read off those arrays.
+``reset``/episode gives the start state, shared by every run of an episode;
+``env``/episode/replicate the environment noise; and
+``act``/episode/agent/replicate one agent's action uniforms.
 
 A replay is a row (S, e, k) of the coalition game: coalition S, the agents
 that keep their policies, on episode e at replicate k. The agents outside S
 play the baseline policy and draw from replicate k, and so does the
-environment; the members draw from replicate 0. Sample k of agent i's
-intervention is the row (N minus i, e, k), and the value of S on episode e
-is (S, e, 0). :meth:`CounterfactualEngine.replay` is the one entry point: it
-replays the rows of the coalitions it is given, each with its replicate
-count, as one row set, builds each row once, and traces only the rows of
-the coalitions it is asked to trace. ``intervene_and_rollout`` and
-``coalition_outcome`` are its one-episode reads, and the engine keeps no
-outcome; :class:`macie.attribution.CoalitionValues` is the one table of
-them.
+environment; the members draw from replicate 0, the factual draw (common
+random numbers). Sample k of agent i's intervention is the row
+(N minus i, e, k), and the value of S on episode e is (S, e, 0). So an
+intervention that installs a policy identical to the factual one
+reproduces the factual episode bit for bit, and the row (N, e, 0) is the
+factual episode: ``env_resim`` reads the grand coalition off the factual
+run instead of replaying it.
 
-Both modes cut a row set into ceil(B / ``REPLAY_CHUNK``) batches of equal
-size (give or take one row). ``env_resim`` simulates a batch as one batched
-rollout that records only the team reward and the length, which is all an
-outcome and a trace read; the factual episodes are one batched rollout of
-whole trajectories. ``scm_rollout`` steps a batch through the structural
-model with one prediction per node and step: each row starts from its
-factual episode's first state, the baseline agents draw uniform actions and
-the model predicts the others. A row reads only its own streams, so the
-split into batches never changes a result.
+:meth:`CounterfactualEngine.replay` is the one entry point: it replays the
+rows of the coalitions it is given, each with its replicate count, as one
+row set, builds each row once, and traces only the rows of the coalitions
+it is asked to trace. ``intervene_and_rollout`` and ``coalition_outcome``
+are its one-episode reads. The engine keeps no outcome;
+:class:`macie.attribution.CoalitionValues` is the one table of them.
+
+The engine holds its factual run as one :class:`macie.core.History`: an
+ingested history, or the episodes 0..max it simulated as one batched
+rollout of whole trajectories. Factual outcomes, traces, start states and
+first joint actions are read off its arrays.
+
+Two modes replay a row set, both in ceil(B / ``REPLAY_CHUNK``) batches of
+equal size (give or take one row). ``env_resim`` simulates a batch as one
+batched rollout that records only the team reward and the length, which is
+all an outcome and a trace read. ``scm_rollout`` steps a batch through the
+fitted structural model, so it also serves ingested histories with no
+simulator: each row starts from its factual episode's first state, the
+baseline agents draw uniform actions and the model predicts the others. A
+row reads only its own streams, so the split into batches never changes a
+result.
 
 Each stream is derived once per run. What several rows read (an episode's
 start, its replicate-0 action uniforms and its environment uniforms per
@@ -128,9 +119,6 @@ class CounterfactualEngine:
         self.scm = scm
         self.baseline = baseline if baseline is not None else BaselinePolicy()
         self.epsilon_frac = epsilon_frac
-        # simulated factual episodes: episode -> its rollout row
-        # (states, actions, rewards, team, length)
-        self._factual: dict[int, tuple] = {}
         # draws several rows read, by stream key: episode -> start state,
         # episode -> replicate-0 action uniforms [T, n, 2],
         # (episode, replicate) -> environment uniforms [T, n, 2], the
@@ -153,44 +141,28 @@ class CounterfactualEngine:
             return self.env.horizon
         return self.history.horizon
 
-    @property
-    def n_actions(self):
-        if self.env is not None:
-            return self.env.n_actions
-        return self.scm.n_actions
-
     # -- factual episodes ------------------------------------------------------
 
     def factual(self, e):
         return self.factuals([e])
 
     def factuals(self, episodes):
-        """Factual episodes by index, as the rows of a :class:`History`.
+        """Factual episodes by index, as rows of the engine's history.
 
-        An ingested history is indexed; simulated episodes are kept per
-        engine, and the uncached ones simulate as one batch.
+        An engine with a simulator keeps what it simulates as its history;
+        asked for an episode it has not simulated, it simulates episodes
+        0..max as one batch.
         """
         episodes = list(episodes)
-        if self.history is not None:
-            return self.history.take(episodes)
-        missing = [e for e in dict.fromkeys(episodes) if e not in self._factual]
-        if missing:
-            n, B = self.n_agents, len(missing)
-            run = self._replay(
-                np.array(missing, dtype=np.int64),
-                np.zeros((B, n), dtype=bool),
-                np.zeros((B, n), dtype=np.int64),
-                np.zeros(B, dtype=np.int64),
+        held = 0 if self.history is None else len(self.history)
+        if self.env is not None and max(episodes) >= held:
+            # the factual run is the rows (N, e, 0), replayed whole
+            grand = {tuple(range(self.n_agents)): 1}
+            rows = self._rows(np.arange(max(episodes) + 1), grand)
+            self.history = History(
+                self.env.name, list(self.env.feature_names), *self._replay(*rows)
             )
-            for b, e in enumerate(missing):
-                self._factual[e] = [a[b] for a in run]
-        rows = [self._factual[e] for e in episodes]
-        return History(
-            self.env.name,
-            list(self.env.feature_names),
-            *(np.array(a) for a in zip(*rows)),
-            seeds=np.array(episodes, dtype=np.int64),
-        )
+        return self.history.take(episodes)
 
     def generate_history(self, n_episodes):
         if self.env is None:
@@ -308,9 +280,8 @@ class CounterfactualEngine:
         if scm is None:
             raise MacieError("scm_rollout mode needs a fitted structural model")
         T, n, B = self.horizon, self.n_agents, len(episodes)
-        uniq, inverse = np.unique(episodes, return_inverse=True)
-        facts = self.factuals(uniq.tolist())
-        S, PA = facts.states[inverse, 0], facts.actions[inverse, 0]
+        self.factuals([episodes.max()])  # the history then holds every row's episode
+        S, PA = self.history.states[episodes, 0], self.history.actions[episodes, 0]
         u = self._act_uniforms(episodes, reps)[..., 1]
         drawn = (u * scm.n_actions).astype(np.int64)
         rewards = np.empty((B, T))
@@ -339,17 +310,29 @@ class CounterfactualEngine:
         policies, to its replicate count K_S; every row is built once.
         Returns ``(y, traces)``: ``y[S]`` is ``[E, K_S]`` and ``traces[S]``
         is ``[E, K_S, T]`` for each S in ``traced``, the only rows traced.
+        In ``env_resim`` the row (N, e, 0) is the factual episode, bit for
+        bit, so a grand coalition asked for at one replicate is read off
+        the factual run instead of replayed.
         """
-        if not coalitions:
-            return {}, {}
         episodes = np.array(list(episodes), dtype=np.int64)
-        E = len(episodes)
+        E, grand = len(episodes), tuple(range(self.n_agents))
+        ys, traces = {}, {}
+        if self.mode == "env_resim" and coalitions.get(grand) == 1:
+            facts = self.factuals(episodes)
+            ys[grand] = rewards_outcome(facts.team, facts.length, self.outcome)[:, None]
+            if grand in traced:
+                trace = rewards_trace(facts.team, facts.length, self.outcome)
+                traces[grand] = trace[:, None]
+            coalitions = {S: K for S, K in coalitions.items() if S != grand}
+        if not coalitions:
+            return ys, traces
         # traced rows first, so that they are a prefix of the row set
         coalitions = dict(sorted(coalitions.items(), key=lambda c: c[0] not in traced))
         trace, y = self._replay_outcomes(
-            self._rows(episodes, coalitions), E * sum(coalitions[S] for S in traced)
+            self._rows(episodes, coalitions),
+            E * sum(K for S, K in coalitions.items() if S in traced),
         )
-        ys, traces, lo = {}, {}, 0
+        lo = 0
         for S, K in coalitions.items():
             ys[S] = y[lo : lo + E * K].reshape(E, K)
             if S in traced:

@@ -89,19 +89,18 @@ def build_explanation(
                 line += f" Critical actions occurred at timesteps {_fmt_steps(steps)}."
             entry["critical_timesteps"] = [int(t) for t in steps]
         if verbosity == "full":
+            entry["phi"] = round(float(phi[i]), 3)
             if bootstrap is not None:
                 line += (
                     f" phi={phi[i]:.3f}, {level}% CI "
                     f"[{bootstrap.lows[i]:.3f}, {bootstrap.highs[i]:.3f}]."
                 )
-                entry["phi"] = round(float(phi[i]), 3)
                 entry["ci"] = [
                     round(float(bootstrap.lows[i]), 3),
                     round(float(bootstrap.highs[i]), 3),
                 ]
             else:
                 line += f" phi={phi[i]:.3f}."
-                entry["phi"] = round(float(phi[i]), 3)
                 entry["ci"] = None
         lines.append(line)
         agents_struct.append(entry)
@@ -141,10 +140,7 @@ def build_explanation(
                 if abs(sigma) <= tau_synergy:
                     continue
                 kind = "cooperation" if sigma > 0 else "interference"
-                if sigma > 0:
-                    phrase = "positive synergy (cooperation)"
-                else:
-                    phrase = "negative synergy (interference)"
+                phrase = f"{'positive' if sigma > 0 else 'negative'} synergy ({kind})"
                 lines.append(
                     f"Agents {i + 1} and {j + 1} show {phrase}, "
                     f"sigma={sigma:.3f}."

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attribution import (
-    EXACT_SHAPLEY_LIMIT,
     BootstrapResult,
     CoalitionValues,
     agent_ranks,
@@ -38,10 +37,16 @@ from .attribution import (
     normalize_contributions,
     run_interventions,
     sample_permutations,
+    shapley_coalitions,
     shapley_exact,
     shapley_mc,
 )
-from .collective import DEFAULT_N_BINS, EmergenceMetrics, emergence_metrics
+from .collective import (
+    DEFAULT_N_BINS,
+    EmergenceMetrics,
+    emergence_coalitions,
+    emergence_metrics,
+)
 from .core import (
     CUMULATIVE_TEAM_REWARD,
     ConfigError,
@@ -134,8 +139,17 @@ def default_permutations(n_agents):
     return 200
 
 
-_STR_FIELDS = ("env", "method", "model", "mode", "verbosity", "outcome")
+# string fields and their choices; an env name is looked up when it is made
+_STR_FIELDS = {
+    "env": (),
+    "method": METHODS,
+    "model": MODEL_NAMES,
+    "mode": MODES,
+    "verbosity": VERBOSITY_LEVELS,
+    "outcome": OUTCOME_KINDS,
+}
 _INT_FIELDS = ("episodes", "horizon", "k", "m", "b", "seed", "threads", "ii_bins")
+_REQUIRED_INTS = ("k", "b", "seed", "ii_bins")  # the others may be None
 _REAL_FIELDS = ("alpha", "epsilon_frac", "tau_synergy", "tau_si", "corr_threshold")
 
 
@@ -181,13 +195,17 @@ class RunConfig:
     corr_threshold: float = DEFAULT_CORR_THRESHOLD
 
     def validate(self):
-        for name in _STR_FIELDS:
+        for name, choices in _STR_FIELDS.items():
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
+            if choices and value not in choices:
+                raise ConfigError(
+                    f"unknown {name} {value!r}; choose from {', '.join(choices)}"
+                )
         for name in _INT_FIELDS:
             value = getattr(self, name)
-            if value is not None and not _is_int(value):
+            if not _is_int(value) and (value is not None or name in _REQUIRED_INTS):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
@@ -195,28 +213,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a number, got {value!r}")
             if not _is_finite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.method not in METHODS:
-            raise ConfigError(
-                f"unknown method {self.method!r}; choose from {', '.join(METHODS)}"
-            )
-        if self.model not in MODEL_NAMES:
-            raise ConfigError(
-                f"unknown model {self.model!r}; choose from {', '.join(MODEL_NAMES)}"
-            )
-        if self.mode not in MODES:
-            raise ConfigError(
-                f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}"
-            )
-        if self.verbosity not in VERBOSITY_LEVELS:
-            raise ConfigError(
-                f"unknown verbosity {self.verbosity!r}; "
-                f"choose from {', '.join(VERBOSITY_LEVELS)}"
-            )
-        if self.outcome not in OUTCOME_KINDS:
-            raise ConfigError(
-                f"unknown outcome {self.outcome!r}; "
-                f"choose from {', '.join(OUTCOME_KINDS)}"
-            )
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.m is not None and self.m < 1:
@@ -231,9 +227,14 @@ class RunConfig:
             raise ConfigError(
                 f"corr_threshold must be in [0, 1], got {self.corr_threshold}"
             )
-        if self.episodes is not None and self.episodes < 1:
-            raise ConfigError(f"episodes must be >= 1, got {self.episodes}")
+        if self.episodes is not None and self.episodes < 2:
+            # the confidence intervals resample episodes
+            raise ConfigError(f"episodes must be >= 2, got {self.episodes}")
+        if self.ii_bins < 1:
+            raise ConfigError(f"ii_bins must be >= 1, got {self.ii_bins}")
         for i, a in self.alphas.items():
+            if not _is_int(i):
+                raise ConfigError(f"alpha override agent {i!r} is not an integer")
             if not _is_real(a) or not 0.0 <= a <= 1.0:
                 raise ConfigError(f"alpha for agent {i} must be in [0, 1], got {a}")
         return self
@@ -266,12 +267,12 @@ def _setup(config, history):
     env = make_env(config.env, config.env_config, horizon=config.horizon)
     alphas = default_alphas(env.n_agents)
     for i, a in config.alphas.items():
-        if not 0 <= int(i) < env.n_agents:
+        if not 0 <= i < env.n_agents:
             raise ConfigError(
                 f"alpha override for agent {i} out of range "
                 f"(env has {env.n_agents} agents)"
             )
-        alphas[int(i)] = a
+        alphas[i] = a
     policies = default_policies(env.n_agents, alphas)
     episodes = config.episodes or DEFAULT_EPISODES.get(config.env, 20)
     engine = CounterfactualEngine(
@@ -293,6 +294,16 @@ def run_pipeline(config: RunConfig, history: History | None = None):
     n = engine.n_agents
     tree = engine.tree
 
+    # every coalition a later stage reads, so that stage 2 replays them all
+    # as one row set and the later stages are arithmetic on the table
+    m_used = perms = None
+    if config.method == "shapley_mc":
+        m_used = config.m or default_permutations(n)
+        perms = sample_permutations(n, m_used, tree.stream("perm"))
+    reads = emergence_coalitions(n)
+    if config.method != "naive_cf":
+        reads += shapley_coalitions(n, perms)
+
     timings = {}
     t_start = time.perf_counter_ns()
 
@@ -313,13 +324,7 @@ def run_pipeline(config: RunConfig, history: History | None = None):
 
     t0 = time.perf_counter_ns()
     values = CoalitionValues(engine, episodes)
-    # the Shapley methods read every coalition value; replaying them in the
-    # row set of the interventions leaves the later steps as arithmetic on
-    # the table
-    cached = config.method != "naive_cf" and n <= EXACT_SHAPLEY_LIMIT
-    replays = run_interventions(
-        engine, episodes, config.k, values, values.subsets() if cached else ()
-    )
+    replays = run_interventions(engine, episodes, config.k, values, reads)
     timings["2"] = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()
@@ -331,14 +336,11 @@ def run_pipeline(config: RunConfig, history: History | None = None):
     timings["3.5"] = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()
-    m_used = None
     if config.method == "naive_cf":
         phi, phi_pe = effects.phi, effects.phi_pe
     elif config.method == "shapley_exact":
         phi, phi_pe = shapley_exact(values)
     else:
-        m_used = config.m or default_permutations(n)
-        perms = sample_permutations(n, m_used, tree.stream("perm"))
         phi, phi_pe = shapley_mc(values, perms)
     timings["4"] = time.perf_counter_ns() - t0
 

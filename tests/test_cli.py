@@ -351,6 +351,13 @@ def test_config_file_errors(tmp_path, capsys):
         assert main(["run", "--config", str(alpha)]) == 2
         assert "bad agent index" in capsys.readouterr().err
 
+    # one episode leaves the bootstrap nothing to resample: refused before
+    # any replay, as a configuration error
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"episodes": 1}))
+    assert main(["run", "--config", str(one)]) == 2
+    assert "episodes must be >= 2" in capsys.readouterr().err
+
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import macie.counterfactual
-from macie.core import ConfigError, OutcomeSpec, rewards_outcome, rewards_trace
+from macie.core import (
+    OUTCOME_KINDS,
+    ConfigError,
+    OutcomeSpec,
+    rewards_outcome,
+    rewards_trace,
+)
 from macie.counterfactual import (
     MODES,
     CounterfactualEngine,
@@ -40,6 +46,27 @@ def test_factual_is_cached_and_deterministic(monkeypatch):
     assert same_arrays(other, first)
 
 
+def test_factual_run_is_one_history(monkeypatch):
+    # episodes not yet simulated extend the history to 0..max in one batch
+    eng = make_engine()
+    calls = []
+    rollout_batch = eng.env.rollout_batch
+
+    def counting(S0, *args, **kwargs):
+        calls.append(len(S0))
+        return rollout_batch(S0, *args, **kwargs)
+
+    monkeypatch.setattr(eng.env, "rollout_batch", counting)
+    third = eng.factual(2)
+    assert calls == [3] and len(eng.history) == 3
+    assert same_arrays(eng.factuals([2, 0]).take([0]), third)
+    hist = eng.generate_history(5)
+    assert calls == [3, 5]
+    assert same_arrays(hist.take([2]), third)
+    eng.generate_history(4)
+    assert calls == [3, 5] and len(eng.history) == 5
+
+
 def test_episode_index_changes_the_rollout():
     eng = make_engine()
     a = eng.factual(0)
@@ -61,11 +88,26 @@ def test_generate_history_matches_factual_cache():
         eng.generate_history(0)
 
 
-def test_grand_coalition_equals_factual_outcome():
-    eng = make_engine()
-    for e in range(5):
-        grand = eng.coalition_outcome(e, (0, 1))
-        assert grand == factual_outcome(eng, e)
+@pytest.mark.parametrize("kind", OUTCOME_KINDS)
+@pytest.mark.parametrize("env_name", list_envs())
+def test_grand_coalition_equals_factual_outcome(env_name, kind):
+    # replaying the rows (N, e, 0) gives the factual run bit for bit, which
+    # is why env_resim reads the grand coalition off the factual run
+    env = make_env(env_name)
+    eng = CounterfactualEngine(
+        SeedTree(42), OutcomeSpec(kind), env=env,
+        policies=default_policies(env.n_agents),
+    )
+    E, grand = 12, tuple(range(env.n_agents))
+    facts = eng.factuals(range(E))
+    y_fact = rewards_outcome(facts.team, facts.length, eng.outcome)
+    fact_traces = rewards_trace(facts.team, facts.length, eng.outcome)
+    traces, y = eng._replay_outcomes(eng._rows(np.arange(E), {grand: 1}), E)
+    assert y.tobytes() == y_fact.tobytes()
+    assert traces.tobytes() == fact_traces.tobytes()
+    y, traces = eng.replay(range(E), {grand: 1}, traced=[grand])
+    assert y[grand].tobytes() == y_fact.tobytes()
+    assert traces[grand].tobytes() == fact_traces.tobytes()
 
 
 def test_coalition_outcome_ignores_member_order():

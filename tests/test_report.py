@@ -11,12 +11,13 @@ import pytest
 import macie
 import macie.counterfactual
 import macie.rng
-from macie.attribution import CoalitionValues, run_interventions
+from macie.attribution import CoalitionValues, run_interventions, shapley_coalitions
 from macie.core import ConfigError, MacieError, read_log, write_log
 from macie.counterfactual import MODES, leave_one_out
 from macie.report import (
     DEFAULT_EPISODES,
     KNOWN_REPORT_KEYS,
+    METHODS,
     REPORT_FORMAT,
     REPORT_VERSION,
     RunConfig,
@@ -64,8 +65,14 @@ def test_config_validation_messages():
         (dict(m=0), "m must be >= 1"),
         (dict(b=1), "b must be >= 2"),
         (dict(alpha=1.5), "alpha must be in"),
-        (dict(episodes=0), "episodes must be >= 1"),
+        (dict(episodes=0), "episodes must be >= 2"),
+        (dict(episodes=1), "episodes must be >= 2"),
+        (dict(ii_bins=0), "ii_bins must be >= 1"),
+        (dict(k=None), "k must be an integer, got None"),
+        (dict(seed=None), "seed must be an integer, got None"),
         (dict(alphas={0: 1.5}), "must be in \\[0, 1\\]"),
+        (dict(alphas={"a": 0.5}), "agent 'a' is not an integer"),
+        (dict(alphas={1.0: 0.5}), "agent 1.0 is not an integer"),
         (dict(alpha=float("nan")), "alpha must be finite"),
         (dict(tau_synergy=float("inf")), "tau_synergy must be finite"),
         (dict(tau_si=float("nan")), "tau_si must be finite"),
@@ -241,6 +248,33 @@ def test_reports_match_golden_digests(case):
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == GOLDEN_REPORTS[case]
 
 
+# The other two methods, on the same small config: naive_cf reads its
+# coalition values for the emergence metrics only, and m = 3 is a partial
+# block of coopnav's 3! orderings, so Monte Carlo reads only their prefix sets.
+GOLDEN_METHOD_REPORTS = {
+    "coopnav/naive_cf": (
+        "cae4c10d4922bfa0f7fa4f20a37706b901ac2fd3ffa91df77a67accb5fc8a00f"
+    ),
+    "coopnav/shapley_mc": (
+        "29bc092e5b008644ee75cd6ff76e5694fe735ae6fea41b8ece0374a04d2c8033"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_METHOD_REPORTS))
+def test_method_reports_match_golden_digests(case):
+    env_name, _, method = case.partition("/")
+    config = RunConfig(
+        env=env_name, episodes=6, k=3, b=20, method=method, seed=42,
+        m=3 if method == "shapley_mc" else None,
+    )
+    report = run_pipeline(config)
+    report.pop("timings_ns")
+    blob = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_METHOD_REPORTS[case]
+
+
 # Canonical sha256 of small scm_rollout reports, recorded from the
 # per-episode structural-model replays that the batched ones replaced; any
 # drift in the equations' predictions or the replay rows changes them.
@@ -324,28 +358,82 @@ def test_pipeline_derives_each_stream_once(monkeypatch, overrides):
     assert sum(key[0] == "act" for key in counts) == 12 * report["n_agents"] * 3
 
 
-def test_counterfactual_stage_is_one_row_set(monkeypatch):
-    # a default run replays every agent's interventions and every other
-    # coalition as one row set, each row (S, e, k) once, in as few rollouts
-    # as the batch cap allows
-    calls = []
-    rollout_batch = macie.Environment.rollout_batch
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(env=env, method=method) for env in macie.list_envs() for method in METHODS]
+    + [dict(env="gridworld", mode="scm_rollout", model="linear")],
+    ids=lambda o: "-".join(o.values()),
+)
+def test_counterfactual_stage_is_one_row_set(monkeypatch, overrides):
+    # a default run replays every coalition that a later stage reads as one
+    # row set, each row (S, e, k) once, in as few batches as the batch cap
+    # allows, and nothing after stage 2 replays
+    engine = macie.CounterfactualEngine
+    calls, replays, reads, stage2 = [], [], set(), []
 
-    def counting(self, *args, **kwargs):
-        calls.append(len(args[0]))
-        return rollout_batch(self, *args, **kwargs)
+    def batches(f):
+        def counting(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            return f(self, *args, **kwargs)
 
-    monkeypatch.setattr(macie.Environment, "rollout_batch", counting)
-    report = run_pipeline(RunConfig(env="gridworld"))
+        return counting
+
+    def counting_replay(self, *args, **kwargs):
+        replays.append(args)
+        return replay(self, *args, **kwargs)
+
+    def blocked_after_stage2(self, *args, **kwargs):
+        assert not stage2, "replayed after stage 2"
+        return replay_outcomes(self, *args, **kwargs)
+
+    def stage2_then_block(*args, **kwargs):
+        out = run_interventions(*args, **kwargs)
+        stage2.append(True)
+        return out
+
+    def recording(self, members):
+        reads.add(tuple(sorted(set(members))))
+        return per_episode(self, members)
+
+    replay, replay_outcomes = engine.replay, engine._replay_outcomes
+    per_episode = CoalitionValues.per_episode
+    monkeypatch.setattr(
+        macie.Environment, "rollout_batch", batches(macie.Environment.rollout_batch)
+    )
+    monkeypatch.setattr(engine, "_scm_outcomes", batches(engine._scm_outcomes))
+    monkeypatch.setattr(engine, "replay", counting_replay)
+    monkeypatch.setattr(engine, "_replay_outcomes", blocked_after_stage2)
+    monkeypatch.setattr(macie.report, "run_interventions", stage2_then_block)
+    monkeypatch.setattr(CoalitionValues, "per_episode", recording)
+    report = run_pipeline(RunConfig(**overrides))
+
     n, E, K = report["n_agents"], report["n_episodes"], report["config"]["k"]
-    # sample 0 of agent i's interventions is the value of coalition N - {i}
-    rows = n * E * K + (2**n - n) * E
-    assert rows == 300
+    assert len(replays) == 1
+    # agent i's interventions are the rows of coalition N - {i}; every other
+    # coalition read is replayed at k = 0, except that env_resim reads the
+    # grand coalition off the factual run
+    loo = {leave_one_out(n, i) for i in range(n)}
+    others = reads - loo
+    if report["config"]["mode"] == "env_resim":
+        others.discard(tuple(range(n)))
+    rows = n * E * K + len(others) * E
+    if overrides == dict(env="gridworld", method="shapley_mc"):
+        assert rows == 275
     cap = macie.counterfactual.REPLAY_CHUNK
     assert len(calls) == 1 + -(-rows // cap)
     # the factual episodes, then balanced batches of the row set
     assert calls[0] == E and sum(calls[1:]) == rows
     assert max(calls[1:]) - min(calls[1:]) <= 1
+
+
+def test_exact_shapley_beyond_its_cap_fails_before_any_replay(monkeypatch):
+    def blocked(*args, **kwargs):
+        raise AssertionError("replayed before the cap was checked")
+
+    monkeypatch.setattr(macie.attribution, "EXACT_SHAPLEY_LIMIT", 1)
+    monkeypatch.setattr(macie.CounterfactualEngine, "_replay_outcomes", blocked)
+    with pytest.raises(ConfigError, match="capped at n=1"):
+        run_pipeline(small_config(method="shapley_exact"))
 
 
 def test_one_row_set_equals_separate_replays(monkeypatch):
@@ -370,13 +458,12 @@ def test_one_row_set_equals_separate_replays(monkeypatch):
             )
 
         values = CoalitionValues(engine(), E)
-        y_cf, traces = run_interventions(
-            values.engine, E, K, values, values.subsets()
-        )
+        every = shapley_coalitions(3)
+        y_cf, traces = run_interventions(values.engine, E, K, values, every)
         # every coalition value was kept from the row set
         with monkeypatch.context() as m:
             m.setattr(values.engine, "_replay_outcomes", blocked)
-            table = {S: values.per_episode(S) for S in values.subsets()}
+            table = {S: values.per_episode(S) for S in every}
         for i in range(3):
             S = leave_one_out(3, i)
             alone_y, alone_traces = engine().replay(range(E), {S: K}, traced=[S])
