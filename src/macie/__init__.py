@@ -27,7 +27,6 @@ from .collective import (
     EmergenceMetrics,
     coordination_score,
     emergence_metrics,
-    information_integration,
     pairwise_conditional_mi,
     synergy_index,
     synergy_matrix,
@@ -54,7 +53,6 @@ from .policies import (
     BaselinePolicy,
     ConstantPolicy,
     SkillPolicy,
-    choose_action,
     default_alphas,
     default_policies,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "bootstrap_ci",
     "bootstrap_indices",
     "build_explanation",
-    "choose_action",
     "compare_agents",
     "contribution_percentages",
     "coordination_score",
@@ -115,7 +112,6 @@ __all__ = [
     "emergence_metrics",
     "env_description",
     "explanation_from_report",
-    "information_integration",
     "list_envs",
     "make_env",
     "normalize_contributions",

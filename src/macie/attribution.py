@@ -14,8 +14,7 @@ replicates, and the coalitions a run reads later (:func:`shapley_coalitions`
 for its estimator) at one, as one row set into the table; it returns the
 interventions as arrays, ``y_cf[N, E, K]`` and ``traces[N, E, K, T]``, and
 :func:`effects_from_interventions` reduces them without a per-sample loop.
-A coalition missing from the table is replayed when first read, which the
-pipeline never needs.
+Reading a coalition that is not in the table is an error.
 """
 
 from __future__ import annotations
@@ -36,8 +35,9 @@ class CoalitionValues:
     """A run's coalition table ``{S: y[E, K_S]}``: the outcome of each row
     (S, e, k) the engine replayed.
 
-    Column k = 0 is v(S) per episode; a coalition not in the table is
-    replayed at k = 0 when first read.
+    Column k = 0 is v(S) per episode. The table is filled by
+    :func:`run_interventions`, :meth:`replay` or :meth:`precompute`;
+    reading a coalition it does not hold raises :class:`MacieError`.
     """
 
     def __init__(self, engine, n_episodes):
@@ -51,7 +51,7 @@ class CoalitionValues:
     def per_episode(self, members):
         key = tuple(sorted(set(members)))
         if key not in self.table:
-            self.replay({key: 1})
+            raise MacieError(f"coalition {key} was not replayed")
         return self.table[key][:, 0]
 
     def value(self, members):

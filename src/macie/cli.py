@@ -246,7 +246,6 @@ def build_parser():
         action="store_true",
         help="bootstrap SE of attributions as K grows",
     )
-    p_bench.add_argument("--all", action="store_true", help="run every benchmark")
 
     sub.add_parser("list-envs", help="list built-in environments")
     return parser
@@ -279,8 +278,8 @@ def _cmd_explain(args):
 
 
 def _cmd_bench(args):
-    if not (args.k_convergence or args.all):
-        raise ConfigError("choose a benchmark: --k-convergence or --all")
+    if not args.k_convergence:
+        raise ConfigError("choose a benchmark: --k-convergence")
     warmup(["gridworld"])
     print("bootstrap SE of attributions by counterfactual sample count:")
     print(f"{'k':<6}{'mean_se':>10}  per-agent")

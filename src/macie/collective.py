@@ -146,11 +146,6 @@ def pairwise_conditional_mi(history, n_bins=DEFAULT_N_BINS):
     return out
 
 
-def information_integration(history, n_bins=DEFAULT_N_BINS):
-    """Total conditional mutual information over ordered agent pairs."""
-    return float(pairwise_conditional_mi(history, n_bins).sum())
-
-
 @dataclass
 class EmergenceMetrics:
     synergy: np.ndarray   # (N, N)

@@ -60,7 +60,7 @@ from .core import (
     rewards_outcome,
     rewards_trace,
 )
-from .policies import BaselinePolicy, policy_arrays
+from .policies import BaselinePolicy, ConstantPolicy, policy_arrays
 from .rng import SeedTree
 
 MODES = ("env_resim", "scm_rollout")
@@ -110,6 +110,13 @@ class CounterfactualEngine:
             )
         if epsilon_frac <= 0:
             raise ConfigError(f"epsilon_frac must be > 0, got {epsilon_frac}")
+        baseline = baseline if baseline is not None else BaselinePolicy()
+        if env is not None:
+            for p in [*policies, baseline]:
+                if isinstance(p, ConstantPolicy) and p.action >= env.n_actions:
+                    raise ConfigError(
+                        f"constant action {p.action} out of range for {env.name}"
+                    )
         self.tree = seed_tree
         self.outcome = outcome
         self.env = env
@@ -117,7 +124,7 @@ class CounterfactualEngine:
         self.history = history
         self.mode = mode
         self.scm = scm
-        self.baseline = baseline if baseline is not None else BaselinePolicy()
+        self.baseline = baseline
         self.epsilon_frac = epsilon_frac
         # draws several rows read, by stream key: episode -> start state,
         # episode -> replicate-0 action uniforms [T, n, 2],
@@ -142,9 +149,6 @@ class CounterfactualEngine:
         return self.history.horizon
 
     # -- factual episodes ------------------------------------------------------
-
-    def factual(self, e):
-        return self.factuals([e])
 
     def factuals(self, episodes):
         """Factual episodes by index, as rows of the engine's history.

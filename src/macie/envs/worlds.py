@@ -5,8 +5,8 @@ space, named state features, and its dynamics written once over a batch
 axis: ``greedy_actions`` (every agent's greedy action in every row) and
 ``transition`` (apply one joint action to every row). ``rollout_batch``
 simulates whole episodes from pre-drawn uniforms with them (see
-``kernels``); ``rollout``, ``step`` and ``greedy_action`` run the same code
-on a single row, so the single-episode and batch paths cannot drift apart.
+``kernels``); ``rollout`` runs it on a single row, so the single-episode and
+batch paths cannot drift apart.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class Environment:
         """
         raise NotImplementedError
 
-    def greedy_action(self, state, agent):
-        S = np.asarray(state, dtype=np.float64)[None]
-        return int(self.greedy_actions(S)[0, agent])
-
     def rollout_batch(self, S0, kinds, alphas, consts, act_u, env_u, trajectory=True):
         """Simulate a batch of episodes; see :func:`kernels.rollout`."""
         return kernels.rollout(
@@ -79,29 +75,6 @@ class Environment:
         if self.uses_env_draws:
             return rng.random((horizon, self.n_agents, 2))
         return np.zeros((horizon, self.n_agents, 2))
-
-    def step(self, state, actions, rng=None):
-        """Apply one joint action; returns (next_state, rewards, team, done)."""
-        if len(actions) != self.n_agents:
-            raise ConfigError(
-                f"{self.name} expects {self.n_agents} actions, got {len(actions)}"
-            )
-        for a in actions:
-            if not 0 <= int(a) < self.n_actions:
-                raise ConfigError(
-                    f"action {a} out of range for {self.name} "
-                    f"(0..{self.n_actions - 1})"
-                )
-        if self.uses_env_draws:
-            if rng is None:
-                raise ConfigError(f"{self.name}.step needs an rng for arrivals")
-            env_u = rng.random((1, self.n_agents, 2))
-        else:
-            env_u = np.zeros((1, self.n_agents, 2))
-        s = np.array(state, dtype=np.float64)[None]
-        a = np.asarray(actions, dtype=np.int64)[None]
-        rewards, team, done = self.transition(s, a, env_u)
-        return s[0], rewards[0], float(team[0]), bool(done[0])
 
 
 @dataclass(frozen=True)

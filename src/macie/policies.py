@@ -3,8 +3,7 @@
 A policy is described to a rollout by three scalars per agent: a kind
 (0 skill-mix, 1 uniform, 2 constant), a greedy probability, and a fixed
 action. ``select_actions`` is the one statement of how those scalars and
-two uniforms pick an action; rollouts apply it to whole batches and
-``choose_action`` to a single decision.
+two uniforms pick an action; rollouts apply it to whole batches.
 """
 
 from __future__ import annotations
@@ -101,15 +100,3 @@ def select_actions(kinds, alphas, consts, greedy, u, n_actions):
     return np.where(
         kinds == KIND_CONSTANT, consts, np.where(skilled, greedy, uniform)
     )
-
-
-def choose_action(policy, env, state, agent, u1, u2):
-    """One action draw from two uniforms, by the rule a rollout applies."""
-    if policy.kind == KIND_CONSTANT and policy.action >= env.n_actions:
-        raise ConfigError(
-            f"constant action {policy.action} out of range for {env.name}"
-        )
-    kinds, alphas, consts = policy_arrays([policy])
-    greedy = np.array([env.greedy_action(state, agent)])
-    u = np.array([[u1, u2]], dtype=np.float64)
-    return int(select_actions(kinds, alphas, consts, greedy, u, env.n_actions)[0])

@@ -15,7 +15,7 @@ get no transition equation and are copied through unchanged.
 Each non-exogenous node gets its own fitted equation. Action nodes are
 discrete and are fitted as one score regression per action value with
 argmax prediction (ties to the lowest action); ``y`` is always a linear fit
-on the per-episode reward sum. Everything serialises to versioned JSON.
+on the per-episode reward sum.
 
 Prediction works on row batches (states ``S[B,D]``, joint actions
 ``A[B,n]``), and each row gets the same value alone as in any batch, so a
@@ -23,8 +23,6 @@ batched replay reproduces replays made one episode at a time.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -51,15 +49,6 @@ class ConstantMean:
     def predict(self, X):
         return np.full(X.shape[0], self.mean)
 
-    def to_dict(self):
-        return {"kind": "constant_mean", "mean": self.mean}
-
-    @classmethod
-    def from_dict(cls, data):
-        model = cls()
-        model.mean = float(data["mean"])
-        return model
-
 
 class Linear:
     def fit(self, X, y, rng):
@@ -73,15 +62,6 @@ class Linear:
         # sum a row in another order, so a row would predict differently
         # alone than in a batch
         return (A[:, None, :] @ self.coef)[:, 0]
-
-    def to_dict(self):
-        return {"kind": "linear", "coef": self.coef.tolist()}
-
-    @classmethod
-    def from_dict(cls, data):
-        model = cls()
-        model.coef = np.asarray(data["coef"], dtype=np.float64)
-        return model
 
 
 MODELS = {
@@ -104,19 +84,6 @@ def _fit_model(name, X, y, rng):
     return MODELS[name]().fit(X, y, rng)
 
 
-def _model_to_dict(model):
-    if isinstance(model, TreeEnsemble):
-        return {"kind": "tree_ensemble", **model.to_dict()}
-    return model.to_dict()
-
-
-def _model_from_dict(data):
-    kind = data["kind"]
-    if kind not in MODELS:
-        raise MacieError(f"unknown serialized model kind {kind!r}")
-    return MODELS[kind].from_dict(data)
-
-
 class ContinuousEquation:
     def __init__(self, features, model):
         self.features = list(features)
@@ -124,13 +91,6 @@ class ContinuousEquation:
 
     def predict_rows(self, X):
         return self.model.predict(X)
-
-    def to_dict(self):
-        return {
-            "type": "continuous",
-            "features": self.features,
-            "model": _model_to_dict(self.model),
-        }
 
 
 class DiscreteEquation:
@@ -147,27 +107,6 @@ class DiscreteEquation:
     def predict_rows(self, X):
         idx = np.argmax(self.scores(X), axis=1)
         return np.asarray(self.values, dtype=np.float64)[idx]
-
-    def to_dict(self):
-        return {
-            "type": "discrete",
-            "features": self.features,
-            "values": self.values,
-            "models": [_model_to_dict(m) for m in self.models],
-        }
-
-
-def _equation_from_dict(data):
-    t = data["type"]
-    if t == "continuous":
-        return ContinuousEquation(data["features"], _model_from_dict(data["model"]))
-    if t == "discrete":
-        return DiscreteEquation(
-            data["features"],
-            data["values"],
-            [_model_from_dict(m) for m in data["models"]],
-        )
-    raise MacieError(f"unknown serialized equation type {t!r}")
 
 
 def _assemble_rows(history):
@@ -205,18 +144,6 @@ class StructuralCausalModel:
         self.equations = {}
 
     # -- graph -------------------------------------------------------------
-
-    @property
-    def nodes(self):
-        s = [f"s{f}" for f in range(self.n_features)]
-        pa = [f"prev_a{i}" for i in range(self.n_agents)]
-        a = [f"a{i}" for i in range(self.n_agents)]
-        ns = [
-            f"ns{f}"
-            for f in range(self.n_features)
-            if f not in self.static_features
-        ]
-        return s + pa + a + ns + ["r", "y"]
 
     def inter_agent_edges(self):
         """Retained (source agent, target agent) influence pairs."""
@@ -451,54 +378,6 @@ class StructuralCausalModel:
     def _require_fitted(self):
         if not self.fitted:
             raise MacieError("structural model is not fitted")
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self):
-        self._require_fitted()
-        return {
-            "format": "macie-scm",
-            "version": 1,
-            "model": self.model_name,
-            "n_agents": self.n_agents,
-            "n_features": self.n_features,
-            "n_actions": self.n_actions,
-            "feature_names": self.feature_names,
-            "corr_threshold": self.corr_threshold,
-            "static_features": list(self.static_features),
-            "parents": self.parents,
-            "equations": {k: eq.to_dict() for k, eq in self.equations.items()},
-        }
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def from_dict(cls, data):
-        if data.get("format") != "macie-scm":
-            raise MacieError("not a structural model file")
-        if data.get("version") != 1:
-            raise MacieError(f"unsupported model version {data.get('version')!r}")
-        scm = cls()
-        scm.model_name = data["model"]
-        scm.n_agents = int(data["n_agents"])
-        scm.n_features = int(data["n_features"])
-        scm.n_actions = int(data["n_actions"])
-        scm.feature_names = data["feature_names"]
-        scm.corr_threshold = float(data["corr_threshold"])
-        scm.static_features = [int(f) for f in data["static_features"]]
-        scm.parents = {k: list(v) for k, v in data["parents"].items()}
-        scm.equations = {
-            k: _equation_from_dict(v) for k, v in data["equations"].items()
-        }
-        scm.fitted = True
-        return scm
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _episode_sums(history, outcome):

@@ -225,20 +225,3 @@ class TreeEnsemble:
                 for feat, thr, left, right, value in self.trees
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data):
-        model = cls(data["n_trees"], data["max_depth"], data["min_leaf"])
-        model.trees = [
-            (
-                np.asarray(t["feature"], dtype=np.int64),
-                np.asarray(t["threshold"], dtype=np.float64),
-                np.asarray(t["left"], dtype=np.int64),
-                np.asarray(t["right"], dtype=np.int64),
-                np.asarray(t["value"], dtype=np.float64),
-            )
-            for t in data["trees"]
-        ]
-        if model.trees:
-            model._stacked = _stack(model.trees)
-        return model

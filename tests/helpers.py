@@ -34,6 +34,20 @@ def same_arrays(a, b):
     )
 
 
+def step(env, state, actions, rng=None):
+    """One joint action applied to one state through ``env.transition``.
+
+    Environment uniforms come from ``rng`` (zeros without one). Returns
+    ``(next_state, rewards, team, done)``.
+    """
+    shape = (1, env.n_agents, 2)
+    env_u = np.zeros(shape) if rng is None else rng.random(shape)
+    s = np.array(state, dtype=np.float64)[None]
+    a = np.asarray(actions, dtype=np.int64)[None]
+    rewards, team, done = env.transition(s, a, env_u)
+    return s[0], rewards[0], float(team[0]), bool(done[0])
+
+
 def nav_history(seed, episodes=30, horizon=15):
     """Three agents drift toward the nearest of three random landmarks.
 

@@ -211,7 +211,8 @@ def test_c06_emergence_sign_regimes():
             env=env,
             policies=default_policies(env.n_agents),
         )
-        return synergy_index(CoalitionValues(engine, n_episodes=100))
+        values = CoalitionValues(engine, n_episodes=100).precompute()
+        return synergy_index(values)
 
     bonus = si_for("gridworld", {"team_bonus": 50.0})
     pursuit = si_for("predatorprey", {"collision_penalty": 4.0})

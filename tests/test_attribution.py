@@ -191,18 +191,20 @@ def test_coalition_values_match_engine_and_precompute():
     values = CoalitionValues(eng, n_episodes=3)
     assert values.n_agents == 2
     assert values.n_episodes == 3
+    values.replay({(0,): 1})
     pe = values.per_episode((0,))
     assert pe.shape == (3,)
     assert pe[1] == eng.coalition_outcome(1, (0,))
     assert values.value((0,)) == pytest.approx(pe.mean())
 
-    lazy = {}
+    pre = CoalitionValues(make_engine(seed=6), 3).precompute()
     for members in [(), (0,), (1,), (0, 1)]:
-        lazy[members] = CoalitionValues(make_engine(seed=6), 3).per_episode(members)
-    pre = CoalitionValues(make_engine(seed=6), 3)
-    pre.precompute()
-    for members, expect in lazy.items():
-        assert np.array_equal(pre.per_episode(members), expect)
+        one = CoalitionValues(make_engine(seed=6), 3)
+        one.replay({members: 1})
+        alone, _ = make_engine(seed=6).replay(range(3), {members: 1})
+        expect = alone[members][:, 0]
+        assert one.per_episode(members).tobytes() == expect.tobytes()
+        assert pre.per_episode(members).tobytes() == expect.tobytes()
 
 
 def test_precomputed_coalition_values_need_no_replay(monkeypatch):
@@ -216,6 +218,12 @@ def test_precomputed_coalition_values_need_no_replay(monkeypatch):
     assert values.per_episode((1, 0)).shape == (3,)
     phi, _ = shapley_exact(values)
     assert synergy_matrix(values, phi).shape == (2, 2)
+
+    # a coalition missing from the table is an error, not a replay
+    monkeypatch.setattr(eng, "_replay_outcomes", blocked)
+    values = CoalitionValues(eng, n_episodes=3)
+    with pytest.raises(MacieError, match=r"coalition \(0,\) was not replayed"):
+        values.per_episode((0,))
 
 
 # -- naive effects -----------------------------------------------------------------

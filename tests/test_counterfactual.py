@@ -16,7 +16,12 @@ from macie.counterfactual import (
     leave_one_out,
 )
 from macie.envs import list_envs, make_env
-from macie.policies import BaselinePolicy, SkillPolicy, default_policies
+from macie.policies import (
+    BaselinePolicy,
+    ConstantPolicy,
+    SkillPolicy,
+    default_policies,
+)
 from macie.rng import SeedTree
 from macie.scm import StructuralCausalModel
 
@@ -30,18 +35,18 @@ def make_engine(seed=42, env_name="gridworld", alphas=None, **overrides):
 
 
 def factual_outcome(eng, e):
-    fact = eng.factual(e)
+    fact = eng.factuals([e])
     return float(rewards_outcome(fact.team, fact.length, eng.outcome)[0])
 
 
 def test_factual_is_cached_and_deterministic(monkeypatch):
     eng = make_engine()
-    first = eng.factual(3)
+    first = eng.factuals([3])
     # a cached episode is read back, not simulated again
     monkeypatch.setattr(eng, "_replay", None)
-    assert same_arrays(eng.factual(3), first)
+    assert same_arrays(eng.factuals([3]), first)
 
-    other = make_engine().factual(3)
+    other = make_engine().factuals([3])
     assert other.length[0] == first.length[0]
     assert same_arrays(other, first)
 
@@ -57,7 +62,7 @@ def test_factual_run_is_one_history(monkeypatch):
         return rollout_batch(S0, *args, **kwargs)
 
     monkeypatch.setattr(eng.env, "rollout_batch", counting)
-    third = eng.factual(2)
+    third = eng.factuals([2])
     assert calls == [3] and len(eng.history) == 3
     assert same_arrays(eng.factuals([2, 0]).take([0]), third)
     hist = eng.generate_history(5)
@@ -69,8 +74,8 @@ def test_factual_run_is_one_history(monkeypatch):
 
 def test_episode_index_changes_the_rollout():
     eng = make_engine()
-    a = eng.factual(0)
-    b = eng.factual(1)
+    a = eng.factuals([0])
+    b = eng.factuals([1])
     assert not np.array_equal(a.states[0, 0], b.states[0, 0]) or not np.array_equal(
         a.actions, b.actions
     )
@@ -80,7 +85,7 @@ def test_generate_history_matches_factual_cache():
     eng = make_engine()
     hist = eng.generate_history(4)
     assert len(hist) == 4
-    assert same_arrays(hist.take([2]), eng.factual(2))
+    assert same_arrays(hist.take([2]), eng.factuals([2]))
     assert hist.seeds.tolist() == [0, 1, 2, 3]
     assert hist.has_final.all()
     assert hist.feature_names == list(eng.env.feature_names)
@@ -144,7 +149,7 @@ def test_null_intervention_with_one_sample_is_exact():
         policies=[SkillPolicy(0.0), SkillPolicy(0.0)],
     )
     for e in range(6):
-        fact = eng.factual(e)
+        fact = eng.factuals([e])
         fact_trace = rewards_trace(fact.team, fact.length, eng.outcome)[0]
         y_fact = factual_outcome(eng, e)
         for agent in range(2):
@@ -310,6 +315,28 @@ def test_constructor_validation():
         )
 
 
+@pytest.mark.parametrize("env_name", list_envs())
+def test_constant_actions_out_of_range_are_refused(env_name):
+    env = make_env(env_name)
+    n = env.n_agents
+    bad = ConstantPolicy(env.n_actions + 3)
+    pols = default_policies(n)
+    refused = f"constant action {bad.action} out of range for {env_name}"
+    with pytest.raises(ConfigError, match=refused):
+        CounterfactualEngine(
+            SeedTree(0), OutcomeSpec(), env=env, policies=[bad] + pols[1:]
+        )
+    with pytest.raises(ConfigError, match=refused):
+        CounterfactualEngine(
+            SeedTree(0), OutcomeSpec(), env=env, policies=pols, baseline=bad
+        )
+    # the top action is in range
+    top = ConstantPolicy(env.n_actions - 1)
+    CounterfactualEngine(
+        SeedTree(0), OutcomeSpec(), env=env, policies=[top] * n, baseline=top
+    )
+
+
 def test_ingested_history_needs_scm_mode():
     T, n = 3, 2
     hist = full_history(
@@ -330,7 +357,7 @@ def test_scm_rollout_on_ingested_history():
     assert eng.n_agents == 2
     assert eng.horizon == sim.env.horizon
     assert factual_outcome(eng, 0) == rewards_outcome(hist.team, hist.length)[0]
-    assert same_arrays(eng.factual(0), hist.take([0]))
+    assert same_arrays(eng.factuals([0]), hist.take([0]))
 
     y_cf, traces = eng.intervene_and_rollout(0, 0, n_samples=3)
     assert np.all(np.isfinite(y_cf))

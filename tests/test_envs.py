@@ -16,6 +16,8 @@ from macie import (
 from macie.envs import GridWorld, GridWorldConfig
 from macie.policies import BaselinePolicy
 
+from helpers import step
+
 
 def rollout(env, state0, horizon, kinds, alphas, seed=0):
     rng = np.random.default_rng(seed)
@@ -143,8 +145,8 @@ def test_rollouts_match_golden_digests(name):
 
 @pytest.mark.parametrize("name", ["additive", "coopnav", "gridworld", "predatorprey"])
 def test_step_replays_rollout(name):
-    # feeding the recorded joint actions back through step() reproduces the
-    # rollout exactly, so both entry points share one set of dynamics
+    # feeding the recorded joint actions back one row at a time through
+    # transition() reproduces the rollout exactly
     env = make_env(name)
     s0 = env.initial_state(np.random.default_rng(5))
     states, actions, rewards, team, length = rollout(
@@ -152,7 +154,7 @@ def test_step_replays_rollout(name):
     )
     s = states[0]
     for t in range(length):
-        ns, r, tr, done = env.step(s, actions[t])
+        ns, r, tr, done = step(env, s, actions[t])
         assert np.array_equal(ns, states[t + 1])
         assert np.allclose(r, rewards[t])
         assert tr == pytest.approx(float(team[t]), abs=1e-12)
@@ -164,7 +166,7 @@ def test_gridworld_pays_team_bonus_when_both_goals_held():
     env = make_env("gridworld")
     # both agents one move from their goals, nothing reached yet
     state = np.array([1.0, 0.0, 3.0, 4.0, 0.0, 0.0, 4.0, 4.0, 0.0, 0.0])
-    ns, rewards, team, done = env.step(state, np.array([2, 3]))
+    ns, rewards, team, done = step(env, state, np.array([2, 3]))
     assert done
     assert np.allclose(rewards, [0.99, 0.99])
     assert team == pytest.approx(0.99 * 2 + 5.0)
@@ -175,7 +177,7 @@ def test_gridworld_goal_reward_paid_once():
     env = make_env("gridworld")
     state = np.array([0.0, 0.0, 4.0, 4.0, 0.0, 0.0, 0.0, 4.0, 1.0, 0.0])
     # agent 0 sits on its already-reached goal: step cost only
-    ns, rewards, team, done = env.step(state, np.array([4, 4]))
+    ns, rewards, team, done = step(env, state, np.array([4, 4]))
     assert not done
     assert np.allclose(rewards, [-0.01, -0.01])
 
@@ -207,7 +209,7 @@ def test_gridworld_cooperation_beats_any_single_agent():
         if key not in memo:
             best = -1e18
             for acts in menu:
-                ns, _, tr, done = env.step(np.array(state), np.array(acts))
+                ns, _, tr, done = step(env, np.array(state), np.array(acts))
                 total = float(tr)
                 if not done:
                     total += best_return(tuple(ns), depth - 1, menu, memo)
@@ -249,12 +251,12 @@ def test_coopnav_collisions_penalize_each_pair():
         [0.5, 0.5, 0.5, 0.5, 0.9, 0.9, 0.5, 0.5, 0.9, 0.9, 0.1, 0.1]
     )
     cost = np.hypot(0.4, 0.4)
-    assert float(env.step(spread, stay)[2]) == pytest.approx(-cost - 1.0)
+    assert float(step(env, spread, stay)[2]) == pytest.approx(-cost - 1.0)
     piled = np.array(
         [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.9, 0.9, 0.1, 0.1]
     )
     lmcost = np.hypot(0.4, 0.4) * 2
-    assert float(env.step(piled, stay)[2]) == pytest.approx(-lmcost - 3.0)
+    assert float(step(env, piled, stay)[2]) == pytest.approx(-lmcost - 3.0)
 
 
 def test_coopnav_landmarks_hold_still():
@@ -268,7 +270,7 @@ def test_predator_prey_moves_before_predators():
     env = make_env("predatorprey")
     # lone mover adjacent to the prey: the prey slips away first
     state = np.array([0.0, 0.0, 6.0, 6.0, 0.0, 1.0])
-    ns, _, _, done = env.step(state, np.array([0, 4]))
+    ns, _, _, done = step(env, state, np.array([0, 4]))
     assert not done
     assert np.array_equal(ns, [0.0, 1.0, 6.0, 6.0, 0.0, 2.0])
 
@@ -276,7 +278,7 @@ def test_predator_prey_moves_before_predators():
 def test_predator_prey_breaks_evasion_ties_by_lowest_action():
     env = make_env("predatorprey")
     state = np.array([0.0, 3.0, 6.0, 3.0, 3.0, 3.0])
-    ns, _, _, _ = env.step(state, np.array([4, 4]))
+    ns, _, _, _ = step(env, state, np.array([4, 4]))
     # up and down both reach distance 4; up has the lower action index
     assert ns[4] == 3.0 and ns[5] == 4.0
 
@@ -284,7 +286,7 @@ def test_predator_prey_breaks_evasion_ties_by_lowest_action():
 def test_predator_capture_requires_boxing_in():
     env = make_env("predatorprey")
     state = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    ns, rewards, team, done = env.step(state, np.array([2, 1]))
+    ns, rewards, team, done = step(env, state, np.array([2, 1]))
     assert done
     assert np.allclose(rewards, [9.95, 9.95])
     assert float(team) == pytest.approx(19.9)
@@ -315,10 +317,10 @@ def test_lone_pursuer_never_captures_an_evading_prey():
 def test_predators_pay_collision_penalty_while_crowding():
     env = make_env("predatorprey", {"collision_penalty": 4.0})
     state = np.array([2.0, 2.0, 3.0, 2.0, 6.0, 6.0])
-    _, rewards, _, _ = env.step(state, np.array([4, 4]))
+    _, rewards, _, _ = step(env, state, np.array([4, 4]))
     assert np.allclose(rewards, [-4.05, -4.05])
     apart = np.array([0.0, 0.0, 6.0, 6.0, 3.0, 3.0])
-    _, rewards, _, _ = env.step(apart, np.array([4, 4]))
+    _, rewards, _, _ = step(env, apart, np.array([4, 4]))
     assert np.allclose(rewards, [-0.05, -0.05])
 
 
@@ -326,8 +328,8 @@ def test_traffic_empty_queues_give_zero_reward():
     env = make_env("traffic")
     zeros = np.zeros(6)
     for acts in ([0, 0, 0], [1, 0, 1]):
-        _, rewards, team, done = env.step(
-            zeros, np.array(acts), np.random.default_rng(0)
+        _, rewards, team, done = step(
+            env, zeros, np.array(acts), np.random.default_rng(0)
         )
         assert np.allclose(rewards, 0.0)
         assert team == 0.0
@@ -338,16 +340,21 @@ def test_traffic_service_caps_departures():
     env = make_env("traffic")
     state = np.array([5.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     rng = np.random.default_rng(0)
-    ns, rewards, _, _ = env.step(state, np.array([0, 0, 0]), rng)
+    ns, rewards, _, _ = step(env, state, np.array([0, 0, 0]), rng)
     # two cars leave the green NS queue before arrivals land on top
     assert rewards[0] == pytest.approx(-(3.0 + 1.0) / 10.0)
 
 
 def test_traffic_needs_env_randomness():
+    # arrivals come from the environment uniforms, whatever the actions
     env = make_env("traffic")
     assert env.uses_env_draws
-    with pytest.raises(ConfigError):
-        env.step(np.zeros(6), np.array([0, 0, 0]))
+    acts = np.zeros((1, 3), dtype=np.int64)
+    every, none = np.zeros((1, 6)), np.zeros((1, 6))
+    env.transition(every, acts, np.zeros((1, 3, 2)))
+    env.transition(none, acts, np.full((1, 3, 2), 0.999))
+    assert np.array_equal(every[0], np.ones(6))
+    assert not none.any()
 
 
 def test_additive_rewards_ignore_the_other_agent():
@@ -371,12 +378,3 @@ def test_additive_rewards_ignore_the_other_agent():
     assert np.array_equal(rew_a[:, 0], rew_b[:, 0])
     assert not np.array_equal(rew_a[:, 1], rew_b[:, 1])
     assert np.allclose(team_a, rew_a.sum(axis=1))
-
-
-def test_step_validates_actions():
-    env = make_env("gridworld")
-    s = env.initial_state(np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        env.step(s, np.array([0]))
-    with pytest.raises(ConfigError):
-        env.step(s, np.array([0, 9]))

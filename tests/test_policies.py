@@ -6,12 +6,16 @@ from macie import (
     ConfigError,
     ConstantPolicy,
     SkillPolicy,
-    choose_action,
     default_alphas,
     default_policies,
     make_env,
 )
-from macie.policies import policy_arrays
+from macie.policies import (
+    KIND_SKILL,
+    KIND_UNIFORM,
+    policy_arrays,
+    select_actions,
+)
 
 # 95th percentile of chi-squared with 4 degrees of freedom
 CHI2_95_DF4 = 9.487729036781154
@@ -59,28 +63,28 @@ def test_policy_arrays_packing():
     assert consts.tolist() == [0, 0, 4]
 
 
-def test_choose_action_is_greedy_below_alpha():
+def test_select_actions_is_greedy_below_alpha():
     env = make_env("gridworld")
     state = np.array([0.0, 0.0, 4.0, 4.0, 4.0, 0.0, 0.0, 4.0, 0.0, 0.0])
-    greedy = env.greedy_action(state, 0)
-    assert choose_action(SkillPolicy(0.7), env, state, 0, 0.69, 0.0) == greedy
-    # above alpha the second uniform picks the slot directly
-    assert choose_action(SkillPolicy(0.7), env, state, 0, 0.71, 0.45) == 2
-    assert choose_action(BaselinePolicy(), env, state, 0, 0.0, 0.99) == 4
-    assert choose_action(ConstantPolicy(1), env, state, 0, 0.0, 0.0) == 1
-    with pytest.raises(ConfigError):
-        choose_action(ConstantPolicy(9), env, state, 0, 0.0, 0.0)
+    # agent 0 heads right to its goal at (4, 0), agent 1 left to (0, 4)
+    greedy = env.greedy_actions(state[None])
+    assert greedy.tolist() == [[3, 2]]
+    kinds, alphas, consts = policy_arrays(
+        [SkillPolicy(0.7), SkillPolicy(0.7), BaselinePolicy(), ConstantPolicy(1)]
+    )
+    u = np.array([[0.69, 0.0], [0.71, 0.45], [0.0, 0.99], [0.0, 0.0]])
+    picked = select_actions(kinds, alphas, consts, greedy[0, 0], u, env.n_actions)
+    # above alpha, and for the baseline, the second uniform picks the slot
+    assert picked.tolist() == [3, 2, 4, 1]
 
 
 def test_baseline_actions_are_uniform():
-    env = make_env("gridworld")
-    state = env.initial_state(np.random.default_rng(0))
     rng = np.random.default_rng(42)
     draws = 5000
-    counts = np.zeros(5)
-    for _ in range(draws):
-        a = choose_action(BaselinePolicy(), env, state, 0, rng.random(), rng.random())
-        counts[a] += 1
+    u = rng.random((draws, 2))
+    kinds = np.full(draws, KIND_UNIFORM)
+    a = select_actions(kinds, np.zeros(draws), np.zeros(draws, np.int64), 0, u, 5)
+    counts = np.bincount(a, minlength=5)
     expected = draws / 5.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < CHI2_95_DF4
@@ -89,10 +93,8 @@ def test_baseline_actions_are_uniform():
 def test_skill_one_is_always_greedy():
     env = make_env("predatorprey")
     state = np.array([0.0, 0.0, 6.0, 6.0, 3.0, 3.0])
-    rng = np.random.default_rng(1)
-    greedy = env.greedy_action(state, 0)
-    for _ in range(50):
-        assert (
-            choose_action(SkillPolicy(1.0), env, state, 0, rng.random(), rng.random())
-            == greedy
-        )
+    greedy = env.greedy_actions(state[None])[0, 0]
+    u = np.random.default_rng(1).random((50, 2))
+    kinds = np.full(50, KIND_SKILL)
+    a = select_actions(kinds, np.ones(50), np.zeros(50, np.int64), greedy, u, 5)
+    assert (a == greedy).all()

@@ -166,16 +166,6 @@ def test_large_min_leaf_forces_a_constant():
     assert abs(pred[0] - y.mean()) < 0.15
 
 
-def test_serialization_round_trip():
-    rng = np.random.default_rng(4)
-    X = rng.random((80, 2))
-    y = np.sin(6.0 * X[:, 0]) + X[:, 1]
-    model = TreeEnsemble(n_trees=4).fit(X, y, np.random.default_rng(5))
-    probe = rng.random((50, 2))
-    back = TreeEnsemble.from_dict(model.to_dict())
-    assert np.array_equal(model.predict(probe), back.predict(probe))
-
-
 def test_split_between_adjacent_doubles_keeps_both_children():
     # 0.5 * (0.3 + nextafter(0.3)) rounds up to the larger double; the
     # threshold must clamp down or every row lands in the left child
@@ -284,11 +274,10 @@ def test_ensemble_walk_matches_single_trees_and_single_rows():
     for feat, thr, *_ in model.trees:
         # rows lying exactly on split thresholds
         probe = np.vstack([probe, np.repeat(thr[feat >= 0][:, None], 3, axis=1)])
-    for ensemble in (model, TreeEnsemble.from_dict(model.to_dict())):
-        batch = ensemble.predict(probe)
-        alone = np.concatenate([ensemble.predict(row[None]) for row in probe])
-        assert batch.tobytes() == alone.tobytes()
-        total = np.zeros(len(probe))
-        for tree in ensemble.trees:
-            total += tree_predict(probe, *tree)
-        assert batch.tobytes() == (total / len(ensemble.trees)).tobytes()
+    batch = model.predict(probe)
+    alone = np.concatenate([model.predict(row[None]) for row in probe])
+    assert batch.tobytes() == alone.tobytes()
+    total = np.zeros(len(probe))
+    for tree in model.trees:
+        total += tree_predict(probe, *tree)
+    assert batch.tobytes() == (total / len(model.trees)).tobytes()
