@@ -19,14 +19,13 @@ import argparse
 import json
 import sys
 
-from .core import OUTCOME_KINDS, ConfigError, MacieError, read_log
+from .core import OUTCOME_KINDS, ConfigError, MacieError, _is_finite, read_log
 from .counterfactual import MODES
 from .envs import env_description, list_envs
 from .explain import VERBOSITY_LEVELS
 from .report import (
     METHODS,
     RunConfig,
-    _is_finite,
     bench_k_convergence,
     explanation_from_report,
     read_report,

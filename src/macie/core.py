@@ -32,6 +32,7 @@ write/read round trip is bit-exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -44,6 +45,18 @@ class MacieError(Exception):
 
 class ConfigError(MacieError):
     """Invalid configuration or arguments."""
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    """A real number that is a finite float (huge integers are not)."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 CUMULATIVE_TEAM_REWARD = "cumulative_team_reward"

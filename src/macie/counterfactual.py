@@ -29,14 +29,17 @@ rollout of whole trajectories. Factual outcomes, traces, start states and
 first joint actions are read off its arrays.
 
 Two modes replay a row set, both in ceil(B / ``REPLAY_CHUNK``) batches of
-equal size (give or take one row). ``env_resim`` simulates a batch as one
-batched rollout that records only the team reward and the length, which is
-all an outcome and a trace read. ``scm_rollout`` steps a batch through the
-fitted structural model, so it also serves ingested histories with no
-simulator: each row starts from its factual episode's first state, the
-baseline agents draw uniform actions and the model predicts the others. A
-row reads only its own streams, so the split into batches never changes a
-result.
+equal size (give or take one row), each batch one run of
+:func:`macie.envs.kernels.rollout` that records only the team reward and
+the length, which is all an outcome and a trace read. ``env_resim`` steps
+the simulator. ``scm_rollout`` steps the fitted structural model, which
+has the simulator's stepping interface, so it also serves ingested
+histories with no simulator: each row starts from its factual episode's
+first state and first joint action, the factual agents play the model's
+action nodes, the baseline agents play the engine's baseline, and a row
+ends where the model's ``done`` node ends it. Both modes read outcomes and
+traces off the replayed rewards and lengths alike. A row reads only its
+own streams, so the split into batches never changes a result.
 
 Each stream is derived once per run. What several rows read (an episode's
 start, its replicate-0 action uniforms and its environment uniforms per
@@ -60,7 +63,8 @@ from .core import (
     rewards_outcome,
     rewards_trace,
 )
-from .policies import BaselinePolicy, ConstantPolicy, policy_arrays
+from .envs import kernels
+from .policies import BaselinePolicy, ConstantPolicy, SkillPolicy, policy_arrays
 from .rng import SeedTree
 
 MODES = ("env_resim", "scm_rollout")
@@ -112,11 +116,7 @@ class CounterfactualEngine:
             raise ConfigError(f"epsilon_frac must be > 0, got {epsilon_frac}")
         baseline = baseline if baseline is not None else BaselinePolicy()
         if env is not None:
-            for p in [*policies, baseline]:
-                if isinstance(p, ConstantPolicy) and p.action >= env.n_actions:
-                    raise ConfigError(
-                        f"constant action {p.action} out of range for {env.name}"
-                    )
+            _check_constant_actions([*policies, baseline], env.n_actions, env.name)
         self.tree = seed_tree
         self.outcome = outcome
         self.env = env
@@ -164,7 +164,9 @@ class CounterfactualEngine:
             grand = {tuple(range(self.n_agents)): 1}
             rows = self._rows(np.arange(max(episodes) + 1), grand)
             self.history = History(
-                self.env.name, list(self.env.feature_names), *self._replay(*rows)
+                self.env.name,
+                list(self.env.feature_names),
+                *self._replay(self.env, *rows),
             )
         return self.history.take(episodes)
 
@@ -211,37 +213,46 @@ class CounterfactualEngine:
             act_u[rows, :, agents] = u.reshape(-1, T, 2)
         return act_u
 
-    def _replay(self, episodes, baseline, reps, env_rep, trajectory=True):
+    def _replay(self, world, episodes, baseline, reps, env_rep, trajectory=True):
         """Simulate rows: episode ``episodes[b]`` with ``baseline[b, j]`` swapped.
 
-        Agents marked in ``baseline[B, n]`` play the baseline policy, the
-        others their factual policy; agent ``j`` draws from its replicate
-        ``reps[b, j]`` and the environment from ``env_rep[b]``. Returns the
-        batched rollout, only ``(team, length)`` without ``trajectory``.
+        ``world`` is the simulator or the fitted structural model. Agents
+        marked in ``baseline[B, n]`` play the baseline policy, the others
+        their factual policy, which in the model is its action node; agent
+        ``j`` draws from its replicate ``reps[b, j]`` and the environment
+        from ``env_rep[b]``. A row starts from its episode's start state, or
+        in the model from the factual first state and first joint action.
+        Returns the batched rollout, only ``(team, length)`` without
+        ``trajectory``.
         """
-        env = self.env
-        T, n, B = env.horizon, env.n_agents, len(episodes)
+        T, n, B = self.horizon, self.n_agents, len(episodes)
 
         def starts(keys):
-            return [env.initial_state(self.tree.stream("reset", e)) for e in keys[:, 0]]
+            return [world.initial_state(self.tree.stream("reset", e)) for e in keys[:, 0]]
 
         def env_uniforms(keys):
             return self.tree.uniforms("env", keys, T * n * 2).reshape(-1, T, n, 2)
 
-        S0 = self._gather(self._starts, episodes[:, None], starts)
+        if world is self.env:
+            S0 = self._gather(self._starts, episodes[:, None], starts)
+            factual = policy_arrays(self.policies)
+        else:
+            self.factuals([episodes.max()])  # the history then holds every row's episode
+            first = self.history.states[episodes, 0], self.history.actions[episodes, 0]
+            S0 = np.concatenate(first, axis=1)
+            factual = policy_arrays([SkillPolicy(1.0)] * n)
         act_u = self._act_uniforms(episodes, reps)
-        if env.uses_env_draws:
+        if world.uses_env_draws:
             keys = np.stack([episodes, env_rep], axis=1)
             env_u = self._gather(self._env_u, keys, env_uniforms)
         else:
             env_u = np.broadcast_to(0.0, (B, T, n, 2))
-        factual = policy_arrays(self.policies)
         swap = policy_arrays([self.baseline] * n)
         kinds, alphas, consts = (
             np.where(baseline, s, f) for f, s in zip(factual, swap)
         )
-        return env.rollout_batch(
-            S0, kinds, alphas, consts, act_u, env_u, trajectory=trajectory
+        return kernels.rollout(
+            world, S0, kinds, alphas, consts, act_u, env_u, trajectory=trajectory
         )
 
     def _replay_outcomes(self, rows, traced):
@@ -251,6 +262,7 @@ class CounterfactualEngine:
         the first ``traced`` rows get a trace. The rows run in
         ceil(B / ``REPLAY_CHUNK``) batches whose sizes differ by one at most.
         """
+        world = self.env if self.mode == "env_resim" else self._model()
         B = len(rows[0])
         n_batches = -(-B // REPLAY_CHUNK)
         bounds = [B * i // n_batches for i in range(n_batches + 1)]
@@ -258,48 +270,21 @@ class CounterfactualEngine:
         for lo, hi in zip(bounds, bounds[1:]):
             batch = [a[lo:hi] for a in rows]
             m = min(max(traced - lo, 0), hi - lo)
-            if self.mode == "scm_rollout":
-                trace, y = self._scm_outcomes(*batch[:3])
-                trace = trace[:m]
-            else:
-                team, length = self._replay(*batch, trajectory=False)
-                trace = rewards_trace(team[:m], length[:m], self.outcome)
-                y = rewards_outcome(team, length, self.outcome)
-            traces.append(trace)
-            outcomes.append(y)
+            team, length = self._replay(world, *batch, trajectory=False)
+            traces.append(rewards_trace(team[:m], length[:m], self.outcome))
+            outcomes.append(rewards_outcome(team, length, self.outcome))
         # only the rows of one set read an environment replicate above 0
         self._env_u = {key: u for key, u in self._env_u.items() if key[1] == 0}
         return np.concatenate(traces), np.concatenate(outcomes)
 
-    def _scm_outcomes(self, episodes, baseline, reps):
-        """``(traces[B, T], outcomes[B])`` of rows replayed through the model.
-
-        A row starts from its factual episode's first state and joint action
-        and runs to the horizon. Agent ``j`` swapped in the row acts uniformly
-        at random from its replicate ``reps[b, j]``; the model predicts every
-        other action, the next state and the reward. The trace is the running
-        reward sum and the outcome the model's ``y`` of the total.
-        """
-        scm = self.scm
-        if scm is None:
+    def _model(self):
+        """The fitted structural model, once every constant policy's action
+        is checked against its action space."""
+        if self.scm is None:
             raise MacieError("scm_rollout mode needs a fitted structural model")
-        T, n, B = self.horizon, self.n_agents, len(episodes)
-        self.factuals([episodes.max()])  # the history then holds every row's episode
-        S, PA = self.history.states[episodes, 0], self.history.actions[episodes, 0]
-        u = self._act_uniforms(episodes, reps)[..., 1]
-        drawn = (u * scm.n_actions).astype(np.int64)
-        rewards = np.empty((B, T))
-        for t in range(T):
-            A = drawn[:, t].copy()
-            for j in range(n):
-                free = ~baseline[:, j]
-                if free.any():
-                    A[free, j] = scm.predict_action(j, S[free], PA[free])
-            NS = scm.predict_next_state(S, A)
-            rewards[:, t] = scm.predict_reward(A, NS)
-            S, PA = NS, A
-        y = scm.predict_outcome([r.sum() for r in rewards])
-        return np.cumsum(rewards, axis=1), np.asarray(y, dtype=np.float64)
+        policies = [*(self.policies or []), self.baseline]
+        _check_constant_actions(policies, self.scm.n_actions, "the fitted model")
+        return self.scm
 
     # -- counterfactuals -----------------------------------------------------------
 
@@ -382,6 +367,12 @@ class CounterfactualEngine:
         (members, e, 0)."""
         y, _ = self.replay([e], {tuple(members): 1})
         return float(y[tuple(members)][0, 0])
+
+
+def _check_constant_actions(policies, n_actions, where):
+    for p in policies:
+        if isinstance(p, ConstantPolicy) and p.action >= n_actions:
+            raise ConfigError(f"constant action {p.action} out of range for {where}")
 
 
 def leave_one_out(n_agents, agent):

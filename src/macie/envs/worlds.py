@@ -3,10 +3,10 @@
 Every environment exposes the same surface: a fixed agent count and action
 space, named state features, and its dynamics written once over a batch
 axis: ``greedy_actions`` (every agent's greedy action in every row) and
-``transition`` (apply one joint action to every row). ``rollout_batch``
-simulates whole episodes from pre-drawn uniforms with them (see
-``kernels``); ``rollout`` runs it on a single row, so the single-episode and
-batch paths cannot drift apart.
+``transition`` (apply one joint action to every row).
+:func:`kernels.rollout` simulates whole batches of episodes from pre-drawn
+uniforms with them; ``rollout`` runs it on a single row, so the
+single-episode and batch paths cannot drift apart.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core import ConfigError
+from ..core import ConfigError, _is_finite
 from . import kernels
 from .kernels import grid_moves, take
 
@@ -52,15 +52,11 @@ class Environment:
         """
         raise NotImplementedError
 
-    def rollout_batch(self, S0, kinds, alphas, consts, act_u, env_u, trajectory=True):
-        """Simulate a batch of episodes; see :func:`kernels.rollout`."""
-        return kernels.rollout(
-            self, S0, kinds, alphas, consts, act_u, env_u, trajectory
-        )
-
     def rollout(self, state0, horizon, kinds, alphas, consts, act_u, env_u):
-        """One episode: ``rollout_batch`` on a single row, ``length`` an int."""
-        states, actions, rewards, team, length = self.rollout_batch(
+        """One episode: :func:`kernels.rollout` on a single row, ``length``
+        an int."""
+        states, actions, rewards, team, length = kernels.rollout(
+            self,
             np.asarray(state0, dtype=np.float64)[None],
             np.asarray(kinds)[None],
             np.asarray(alphas)[None],
@@ -444,6 +440,9 @@ class AdditiveLine(Environment):
         return rewards, team, np.zeros(len(s), dtype=bool)
 
 
+# config fields that count cars or cells, so cannot be negative
+_NON_NEGATIVE = ("service", "max_init_queue", "limit")
+
 _REGISTRY = {
     "gridworld": (GridWorld, GridWorldConfig),
     "coopnav": (CoopNav, CoopNavConfig),
@@ -493,4 +492,8 @@ def make_env(name, overrides: dict[str, Any] | None = None, horizon=None):
             want, noun = numbers.Real, "a number"
         if isinstance(value, bool) or not isinstance(value, want):
             raise ConfigError(f"{name} config {key} must be {noun}, got {value!r}")
+        if not _is_finite(value):
+            raise ConfigError(f"{name} config {key} must be finite, got {value!r}")
+        if key in _NON_NEGATIVE and value < 0:
+            raise ConfigError(f"{name} config {key} must be >= 0, got {value!r}")
     return cls(config_cls(**kwargs))

@@ -54,6 +54,8 @@ from .core import (
     MacieError,
     OUTCOME_KINDS,
     OutcomeSpec,
+    _is_finite,
+    _is_real,
 )
 from .counterfactual import (
     DEFAULT_EPSILON_FRAC,
@@ -155,18 +157,6 @@ _REAL_FIELDS = ("alpha", "epsilon_frac", "tau_synergy", "tau_si", "corr_threshol
 
 def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_finite(value):
-    """A real number that is a finite float (huge integers are not)."""
-    try:
-        return _is_real(value) and math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 @dataclass

@@ -2,20 +2,29 @@
 
 The graph is a fixed template over named nodes: state features ``s{f}``,
 previous actions ``prev_a{i}``, current actions ``a{i}``, next state
-features ``ns{f}``, per-step team reward ``r``, and the episode outcome
-``y``. States and previous actions are exogenous. Candidate edges
+features ``ns{f}``, per-step team reward ``r``, and termination ``done``.
+States and previous actions are exogenous. Candidate edges
 ``prev_a{i} -> a{j}`` (i != j) carry inter-agent influence and are pruned
 when the observed correlation is weak; all other edges are structural:
-states drive actions, states and actions drive the next state, actions and
-the next state drive the reward, and summed rewards drive the outcome.
-State features that never change within the training transitions (goal or
-landmark coordinates, for example) are treated as episode constants: they
-get no transition equation and are copied through unchanged.
+states drive actions, states and actions drive the next state, and actions
+and the next state drive the reward and termination. State features that
+never change within the training transitions (goal or landmark
+coordinates, for example) are treated as episode constants: they get no
+transition equation and are copied through unchanged.
 
 Each non-exogenous node gets its own fitted equation. Action nodes are
 discrete and are fitted as one score regression per action value with
-argmax prediction (ties to the lowest action); ``y`` is always a linear fit
-on the per-episode reward sum.
+argmax prediction (ties to the lowest action). ``done`` is fitted like
+``r``, on the 0/1 target "this transition ended the episode before the
+horizon", and a transition ends its episode where it predicts above 0.5.
+
+A fitted model steps like a simulator through
+:func:`macie.envs.kernels.rollout`: its state is the state features
+followed by the previous joint action, ``greedy_actions`` predicts every
+action node and ``transition`` predicts the next state, the team reward
+and termination. So a replay through the model runs the simulator's step
+loop, and its outcome is read off the replayed team rewards and length as
+a simulator's is.
 
 Prediction works on row batches (states ``S[B,D]``, joint actions
 ``A[B,n]``), and each row gets the same value alone as in any batch, so a
@@ -84,60 +93,52 @@ def _fit_model(name, X, y, rng):
     return MODELS[name]().fit(X, y, rng)
 
 
-class ContinuousEquation:
-    def __init__(self, features, model):
-        self.features = list(features)
-        self.model = model
-
-    def predict_rows(self, X):
-        return self.model.predict(X)
-
-
 class DiscreteEquation:
-    """Per-value score regressions; prediction is the argmax value."""
+    """One score regression per action; prediction is the argmax action."""
 
-    def __init__(self, features, values, models):
-        self.features = list(features)
-        self.values = list(values)
-        self.models = list(models)
+    def __init__(self, models):
+        self.models = models
 
-    def scores(self, X):
-        return np.column_stack([m.predict(X) for m in self.models])
-
-    def predict_rows(self, X):
-        idx = np.argmax(self.scores(X), axis=1)
-        return np.asarray(self.values, dtype=np.float64)[idx]
+    def predict(self, X):
+        scores = np.column_stack([m.predict(X) for m in self.models])
+        return np.argmax(scores, axis=1).astype(np.float64)
 
 
 def _assemble_rows(history):
-    """Pool (state, prev action, action, next state, reward) rows over episodes.
+    """Pool (state, prev action, action, next state, reward, done) rows over
+    episodes.
 
     Step ``t`` of an episode gives a row when it has a previous step and a
     known next state: ``1 <= t < length - 1``, or ``t = length - 1`` too
-    where the final state is known. Rows run episode by episode.
+    where the final state is known. ``done`` is 1.0 on the last step of an
+    episode that ended before the horizon. Rows run episode by episode.
     """
     t = np.arange(history.horizon)
     usable = (t >= 1) & (t + 1 < (history.length + history.has_final)[:, None])
     e, t = np.nonzero(usable)
     if not len(e):
         raise MacieError("history has no usable transitions (episodes too short)")
+    length = history.length[e]
     return (
         history.states[e, t],
         history.actions[e, t - 1],
         history.actions[e, t],
         history.states[e, t + 1],
         history.team[e, t],
+        ((t + 1 == length) & (length < history.horizon)).astype(np.float64),
     )
 
 
 class StructuralCausalModel:
+    uses_env_draws = False
+
     def __init__(self):
         self.fitted = False
         self.model_name = None
         self.n_agents = 0
         self.n_features = 0
         self.n_actions = 0
-        self.feature_names = None
+        self.outcome = None
         self.corr_threshold = DEFAULT_CORR_THRESHOLD
         self.static_features = []
         self.parents = {}
@@ -165,7 +166,7 @@ class StructuralCausalModel:
             if f not in self.static_features:
                 parents[f"ns{f}"] = s_nodes + a_nodes
         parents["r"] = a_nodes + ns_nodes
-        parents["y"] = ["r"]
+        parents["done"] = a_nodes + ns_nodes
         return parents
 
     # -- fitting -----------------------------------------------------------
@@ -177,15 +178,15 @@ class StructuralCausalModel:
         each ``prev_a{i} -> a{j}`` edge whose Pearson correlation reaches
         ``corr_threshold`` in absolute value, and sets the parents of every
         node. :meth:`inter_agent_edges` is usable afterwards; the model is
-        not fitted. Returns the pooled rows ``(S, PA, A, NS, R)``.
+        not fitted. Returns the pooled rows ``(S, PA, A, NS, R, D)``.
         """
-        S, PA, A, NS, R = _assemble_rows(history)
+        rows = _assemble_rows(history)
+        S, PA, A, NS = rows[:4]
         self.fitted = False
         self.equations = {}
         self.n_agents = history.n_agents
         self.n_features = S.shape[1]
         self.n_actions = int(A.max()) + 1
-        self.feature_names = history.feature_names
         self.corr_threshold = float(corr_threshold)
         self.static_features = [
             f for f in range(self.n_features) if np.all(NS[:, f] == S[:, f])
@@ -201,7 +202,7 @@ class StructuralCausalModel:
                     keep.append(i)
             retained.append(keep)
         self.parents = self._build_parents(retained)
-        return S, PA, A, NS, R
+        return rows
 
     def fit(
         self,
@@ -214,47 +215,30 @@ class StructuralCausalModel:
         """Screen the graph with :meth:`screen`, then fit every equation.
 
         The rng feeds the tree bootstraps and is consumed in a fixed node
-        order (actions, next states, reward, outcome), so a given rng state
-        always yields the same fit.
+        order (actions, next states, reward, termination), so a given rng
+        state always yields the same fit. ``outcome`` is what
+        :meth:`predict_outcome` reads off a replay.
         """
         _check_model_name(model)
         if rng is None:
             rng = np.random.default_rng(0)
-        S, PA, A, NS, R = self.screen(history, corr_threshold)
+        S, PA, A, NS, R, D = self.screen(history, corr_threshold)
         self.model_name = model
+        self.outcome = outcome
         blocks = {"s": S, "prev_a": PA, "a": A, "ns": NS}
         n = S.shape[0]
-        for node, target in self._targets(A, NS, R).items():
+        for node, target in self._targets(A, NS, R, D).items():
             if n < MIN_SAMPLES:
                 raise MacieError(
                     f"too few samples to fit node {node}: {n} < {MIN_SAMPLES}"
                 )
             X = self._design(node, blocks)
-            if node.startswith("a"):
-                values = list(range(self.n_actions))
-                models = [
-                    _fit_model(model, X, (target == v).astype(np.float64), rng)
-                    for v in values
-                ]
-                eq = DiscreteEquation(self.parents[node], values, models)
-            else:
-                eq = ContinuousEquation(
-                    self.parents[node], _fit_model(model, X, target, rng)
-                )
-            self.equations[node] = eq
-
-        sum_r, ys = _episode_sums(history, outcome)
-        if len(ys) < MIN_SAMPLES:
-            raise MacieError(
-                f"too few samples to fit node y: {len(ys)} < {MIN_SAMPLES}"
-            )
-        y_model = Linear().fit(sum_r[:, None], ys, rng)
-        self.equations["y"] = ContinuousEquation(["sum_r"], y_model)
+            self.equations[node] = self._fit_node(node, X, target, rng)
         self.fitted = True
         return self
 
-    def _targets(self, A, NS, R):
-        """Training target of each fitted node but ``y``, in fitting order."""
+    def _targets(self, A, NS, R, D):
+        """Training target of each fitted node, in fitting order."""
         targets = {f"a{j}": A[:, j].astype(np.float64) for j in range(self.n_agents)}
         targets.update(
             {
@@ -264,7 +248,21 @@ class StructuralCausalModel:
             }
         )
         targets["r"] = R
+        targets["done"] = D
         return targets
+
+    def _fit_node(self, node, X, target, rng):
+        """``node``'s equation fitted on its input rows ``X``: an action node
+        gets one score regression per action value, any other node one
+        regression."""
+        if not node.startswith("a"):
+            return _fit_model(self.model_name, X, target, rng)
+        return DiscreteEquation(
+            [
+                _fit_model(self.model_name, X, (target == v).astype(np.float64), rng)
+                for v in range(self.n_actions)
+            ]
+        )
 
     def _design(self, node, blocks):
         """Input rows of ``node``'s equation: one column per parent.
@@ -287,7 +285,8 @@ class StructuralCausalModel:
         """Out-of-fold R-squared per fitted node, via k-fold refits.
 
         Action nodes are scored on the predicted action index. A constant
-        target scores 1.0 when predicted exactly and 0.0 otherwise.
+        target scores 1.0 when predicted exactly and 0.0 otherwise. No node
+        depends on ``outcome``; it is taken as :meth:`fit` takes it.
         """
         if not self.fitted:
             raise MacieError("fit the model before validating it")
@@ -295,7 +294,7 @@ class StructuralCausalModel:
             raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
         if rng is None:
             rng = np.random.default_rng(0)
-        S, PA, A, NS, R = _assemble_rows(history)
+        S, PA, A, NS, R, D = _assemble_rows(history)
         n = S.shape[0]
         if n < n_folds:
             raise MacieError(f"{n} transitions cannot fill {n_folds} folds")
@@ -303,39 +302,15 @@ class StructuralCausalModel:
 
         folds = np.array_split(np.arange(n), n_folds)
         scores = {}
-        for node, target in self._targets(A, NS, R).items():
+        for node, target in self._targets(A, NS, R, D).items():
             X = self._design(node, blocks)
             pred = np.zeros(n)
-            discrete = node.startswith("a")
             for test_idx in folds:
                 train = np.ones(n, dtype=bool)
                 train[test_idx] = False
-                if discrete:
-                    models = [
-                        _fit_model(
-                            self.model_name,
-                            X[train],
-                            (target[train] == v).astype(np.float64),
-                            rng,
-                        )
-                        for v in range(self.n_actions)
-                    ]
-                    sc = np.column_stack([m.predict(X[test_idx]) for m in models])
-                    pred[test_idx] = np.argmax(sc, axis=1).astype(np.float64)
-                else:
-                    m = _fit_model(self.model_name, X[train], target[train], rng)
-                    pred[test_idx] = m.predict(X[test_idx])
+                eq = self._fit_node(node, X[train], target[train], rng)
+                pred[test_idx] = eq.predict(X[test_idx])
             scores[node] = _r_squared(target, pred)
-
-        sum_r, ys = _episode_sums(history, outcome)
-        if len(ys) >= n_folds:
-            pred = np.zeros(len(ys))
-            for test_idx in np.array_split(np.arange(len(ys)), n_folds):
-                train = np.ones(len(ys), dtype=bool)
-                train[test_idx] = False
-                m = Linear().fit(sum_r[train][:, None], ys[train], rng)
-                pred[test_idx] = m.predict(sum_r[test_idx][:, None])
-            scores["y"] = _r_squared(ys, pred)
         return scores
 
     # -- prediction -----------------------------------------------------------
@@ -346,7 +321,7 @@ class StructuralCausalModel:
         self._require_fitted()
         node = f"a{agent}"
         X = self._design(node, {"s": S, "prev_a": PA})
-        return self.equations[node].predict_rows(X).astype(np.int64)
+        return self.equations[node].predict(X).astype(np.int64)
 
     def predict_next_state(self, S, A):
         """Next states ``[B,D]`` from states ``S[B,D]`` and joint actions
@@ -357,7 +332,7 @@ class StructuralCausalModel:
         for f in range(self.n_features):
             if f not in self.static_features:
                 node = f"ns{f}"
-                out[:, f] = self.equations[node].predict_rows(
+                out[:, f] = self.equations[node].predict(
                     self._design(node, blocks)
                 )
         return out
@@ -367,23 +342,44 @@ class StructuralCausalModel:
         states ``NS[B,D]``."""
         self._require_fitted()
         X = self._design("r", {"a": A, "ns": NS})
-        return self.equations["r"].predict_rows(X)
+        return self.equations["r"].predict(X)
 
-    def predict_outcome(self, sum_r):
-        """Episode outcome ``[B]`` of per-episode reward sums ``sum_r[B]``."""
+    def predict_outcome(self, team, length):
+        """Outcome ``[B]`` of replayed episodes, under the fitted outcome,
+        from their team rewards ``team[B, T]`` and lengths ``length[B]``."""
         self._require_fitted()
-        X = np.asarray(sum_r, dtype=np.float64)[:, None]
-        return self.equations["y"].predict_rows(X)
+        return rewards_outcome(team, length, self.outcome)
 
     def _require_fitted(self):
         if not self.fitted:
             raise MacieError("structural model is not fitted")
 
+    # -- stepping, as a simulator ----------------------------------------------
 
-def _episode_sums(history, outcome):
-    """Per-episode team-reward sums and outcomes, the data of node ``y``."""
-    sum_r = rewards_outcome(history.team, history.length, OutcomeSpec())
-    return sum_r, rewards_outcome(history.team, history.length, outcome)
+    def greedy_actions(self, S):
+        """Every action node's prediction ``[B, n]`` in the model states
+        ``S[B, D + n]``: the state features, then the previous joint action."""
+        D = self.n_features
+        return np.stack(
+            [self.predict_action(j, S[:, :D], S[:, D:]) for j in range(self.n_agents)],
+            axis=1,
+        )
+
+    def transition(self, s, a, env_u):
+        """Apply joint actions ``a[B, n]`` to the model states ``s[B, D + n]``
+        in place, as :meth:`macie.envs.Environment.transition` does.
+
+        The model predicts no per-agent reward, so those are NaN, and it
+        reads no environment noise. Returns ``(rewards, team, done)``.
+        """
+        D = self.n_features
+        NS = self.predict_next_state(s[:, :D], a)
+        team = self.predict_reward(a, NS)
+        X = self._design("done", {"a": a, "ns": NS})
+        done = self.equations["done"].predict(X) > 0.5
+        s[:, :D] = NS
+        s[:, D:] = a
+        return np.full((len(s), self.n_agents), np.nan), team, done
 
 
 def _r_squared(target, pred):

@@ -131,16 +131,19 @@ def tree_predict(X, feat, thr, left, right, value, roots=0):
     for a single root, one row per tree for the roots of a stacked ensemble.
     """
     roots = np.asarray(roots, np.int64)
-    node = np.repeat(roots.reshape(-1), X.shape[0])
-    row = np.tile(np.arange(X.shape[0]), roots.size)
-    while True:
-        f = feat[node]
-        inner = np.nonzero(f >= 0)[0]
-        if inner.size == 0:
-            return value[node].reshape(roots.shape + (X.shape[0],))
-        at = node[inner]
-        go_left = X[row[inner], f[inner]] <= thr[at]
-        node[inner] = np.where(go_left, left[at], right[at])
+    n, d = X.shape
+    # a leaf routes every row back to itself, so all rows step together
+    # without sorting out the ones that have landed
+    leaf = feat < 0
+    own = np.arange(feat.size)
+    feat, thr = np.where(leaf, 0, feat), np.where(leaf, np.inf, thr)
+    left, right = np.where(leaf, own, left), np.where(leaf, own, right)
+    node = np.repeat(roots.reshape(-1), n)
+    start = np.tile(np.arange(n) * d, roots.size)  # row offsets in flat X
+    X = np.ascontiguousarray(X).reshape(-1)
+    while not leaf[node].all():
+        node = np.where(X[start + feat[node]] <= thr[node], left[node], right[node])
+    return value[node].reshape(roots.shape + (n,))
 
 
 def _stack(trees):

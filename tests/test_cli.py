@@ -270,6 +270,32 @@ def test_config_value_of_wrong_type_returns_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"env": "traffic", "env.max_init_queue": -5},
+         "traffic config max_init_queue must be >= 0, got -5"),
+        ({"env": "traffic", "env.service": -1},
+         "traffic config service must be >= 0, got -1"),
+        ({"env": "additive", "env.limit": -3},
+         "additive config limit must be >= 0, got -3"),
+        ({"env.step_cost": float("inf")},
+         "gridworld config step_cost must be finite, got inf"),
+        ({"env.goal_reward": float("nan")},
+         "gridworld config goal_reward must be finite, got nan"),
+        ({"env.team_bonus": 10**400}, "gridworld config team_bonus must be finite"),
+    ],
+    ids=["max_init_queue", "service", "limit", "inf", "nan", "huge"],
+)
+def test_env_config_value_out_of_range_returns_2(tmp_path, capsys, config, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), *RUN_ARGS]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert message in err
+
+
 def test_explain_rerenders_a_stored_report(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     assert main(

@@ -15,7 +15,7 @@ from macie.counterfactual import (
     critical_timesteps,
     leave_one_out,
 )
-from macie.envs import list_envs, make_env
+from macie.envs import kernels, list_envs, make_env
 from macie.policies import (
     BaselinePolicy,
     ConstantPolicy,
@@ -55,13 +55,13 @@ def test_factual_run_is_one_history(monkeypatch):
     # episodes not yet simulated extend the history to 0..max in one batch
     eng = make_engine()
     calls = []
-    rollout_batch = eng.env.rollout_batch
+    rollout = kernels.rollout
 
-    def counting(S0, *args, **kwargs):
+    def counting(env, S0, *args, **kwargs):
         calls.append(len(S0))
-        return rollout_batch(S0, *args, **kwargs)
+        return rollout(env, S0, *args, **kwargs)
 
-    monkeypatch.setattr(eng.env, "rollout_batch", counting)
+    monkeypatch.setattr(kernels, "rollout", counting)
     third = eng.factuals([2])
     assert calls == [3] and len(eng.history) == 3
     assert same_arrays(eng.factuals([2, 0]).take([0]), third)
@@ -381,3 +381,75 @@ def test_scm_rollout_is_deterministic():
         runs.append(eng.intervene_and_rollout(0, 1, n_samples=2))
     for x, y in zip(*runs):
         assert np.array_equal(x, y)
+
+
+def scm_engine(env_name, outcome=OutcomeSpec(), baseline=None, episodes=25):
+    """An ingested-history engine over a model fitted on ``episodes``
+    factual episodes of ``env_name`` at seed 42."""
+    hist = make_engine(env_name=env_name).generate_history(episodes)
+    scm = StructuralCausalModel().fit(hist, outcome)
+    return CounterfactualEngine(
+        SeedTree(42), outcome, history=hist, mode="scm_rollout", scm=scm,
+        baseline=baseline,
+    )
+
+
+def recorded_model_rollouts(monkeypatch):
+    """Patch the rollout loop to keep each ``(team, length)`` it steps
+    through a structural model."""
+    runs = []
+    rollout = kernels.rollout
+
+    def recording(world, *args, **kwargs):
+        out = rollout(world, *args, **kwargs)
+        if isinstance(world, StructuralCausalModel):
+            runs.append(out)
+        return out
+
+    monkeypatch.setattr(kernels, "rollout", recording)
+    return runs
+
+
+@pytest.mark.parametrize("kind", OUTCOME_KINDS)
+def test_scm_replays_end_where_the_done_node_ends_them(monkeypatch, kind):
+    # gridworld episodes end when both agents stand on their goals; the
+    # model's done node ends some replays early too, and a replay's outcome
+    # is read off its team rewards and length as a simulator's is
+    eng = scm_engine("gridworld", OutcomeSpec(kind))
+    runs = recorded_model_rollouts(monkeypatch)
+    every = {(): 3, (0,): 3, (1,): 3, (0, 1): 3}
+    y, _ = eng.replay(range(25), every)
+    ((team, length),) = runs
+    assert (length < eng.horizon).any()
+    outcomes = np.concatenate([y[S].ravel() for S in every])
+    assert same_bits(outcomes, rewards_outcome(team, length, OutcomeSpec(kind)))
+
+
+@pytest.mark.parametrize("env_name", ["traffic", "coopnav"])
+def test_scm_replays_run_the_horizon_where_no_episode_ends_early(
+    monkeypatch, env_name
+):
+    eng = scm_engine(env_name)
+    assert (eng.history.length == eng.horizon).all()
+    runs = recorded_model_rollouts(monkeypatch)
+    eng.replay(range(10), {(): 2, (0,): 2, (0, 1, 2): 1})
+    ((_, length),) = runs
+    assert (length == eng.horizon).all()
+
+
+def test_scm_rollout_honours_the_baseline_policy():
+    # the model has no noise, so under a constant baseline every replicate
+    # of an intervention replays alike; the uniform baseline redraws
+    eng = scm_engine("coopnav", baseline=ConstantPolicy(4))
+    constant, _ = eng.intervene_and_rollout(0, 0, 4)
+    assert len(set(constant.tolist())) == 1
+    uniform, _ = scm_engine("coopnav").intervene_and_rollout(0, 0, 4)
+    assert len(set(uniform.tolist())) == 4
+
+
+def test_scm_rollout_refuses_constant_actions_out_of_the_model_range():
+    eng = scm_engine("gridworld", baseline=ConstantPolicy(5))
+    assert eng.scm.n_actions == 5
+    refused = "constant action 5 out of range for the fitted model"
+    with pytest.raises(ConfigError, match=refused):
+        eng.intervene_and_rollout(0, 0, 1)

@@ -13,7 +13,7 @@ from macie import (
     list_envs,
     make_env,
 )
-from macie.envs import GridWorld, GridWorldConfig
+from macie.envs import GridWorld, GridWorldConfig, kernels
 from macie.policies import BaselinePolicy
 
 from helpers import step
@@ -96,7 +96,7 @@ def test_mixed_batch_matches_each_row_alone(name):
         kinds[10:15], consts[10:15] = 2, [2, 1]
     act_u = rng.random((B, T, n, 2))
     env_u = rng.random((B, T, n, 2))
-    batch = env.rollout_batch(S0, kinds, alphas, consts, act_u, env_u)
+    batch = kernels.rollout(env, S0, kinds, alphas, consts, act_u, env_u)
     length = batch[4]
     if name in ("gridworld", "predatorprey"):
         assert (length < T).any() and (length == T).any()
@@ -136,7 +136,7 @@ def test_rollouts_match_golden_digests(name):
     consts = rng.integers(0, env.n_actions, (B, n))
     act_u = rng.random((B, T, n, 2))
     env_u = rng.random((B, T, n, 2))
-    outputs = env.rollout_batch(S0, kinds, alphas, consts, act_u, env_u)
+    outputs = kernels.rollout(env, S0, kinds, alphas, consts, act_u, env_u)
     digest = hashlib.sha256()
     for x, dtype in zip(outputs, (np.float64, np.int64, np.float64, np.float64, np.int64)):
         digest.update(np.ascontiguousarray(x, dtype=dtype).tobytes())

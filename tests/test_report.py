@@ -210,13 +210,13 @@ def test_env_resim_edges_match_a_full_fit(env_name):
 
 
 def test_env_resim_needs_no_fitted_model():
-    # five episodes are too few to fit the outcome node, which only
-    # scm_rollout reads
-    out = run_pipeline(small_config(episodes=5))
-    assert out["n_episodes"] == 5
+    # two 3-step episodes give 4 transitions, too few to fit the model's
+    # equations, which only scm_rollout reads
+    out = run_pipeline(small_config(episodes=2, horizon=3))
+    assert out["n_episodes"] == 2
     assert np.all(np.isfinite(out["phi"]))
     with pytest.raises(MacieError, match="too few samples"):
-        run_pipeline(small_config(episodes=5, mode="scm_rollout"))
+        run_pipeline(small_config(episodes=2, horizon=3, mode="scm_rollout"))
 
 
 # Canonical sha256 of one small report per env, recorded from the scalar
@@ -275,22 +275,23 @@ def test_method_reports_match_golden_digests(case):
     assert digest == GOLDEN_METHOD_REPORTS[case]
 
 
-# Canonical sha256 of small scm_rollout reports, recorded from the
-# per-episode structural-model replays that the batched ones replaced; any
-# drift in the equations' predictions or the replay rows changes them.
+# Canonical sha256 of small scm_rollout reports, recorded once the fitted
+# model replayed through the simulators' step loop, ending where its done
+# node ends an episode; any drift in the equations' predictions or the
+# replay rows changes them.
 GOLDEN_SCM_REPORTS = {
     "gridworld/tree_ensemble": (
-        "6a24e470f6256fa4472b22669cdaac02f9aca35552b76e5f42569fa13e3f0d5b"
+        "c194afdc0e92f5fe4a5c4ce598eadc8dc0d67c9c471da7b6686fda000d677ab4"
     ),
     "gridworld/linear": (
-        "6396cb05aa9bfe50c7483c1bc6338ae8aac02500deb095ec46c416331ed99f68"
+        "784f75ad185786b6bea7a5ca488161d61e15a4343c5949b334c270b1fc64e6b1"
     ),
     "traffic/linear": (
-        "238419ba9ac81151205b9a5c22b1bb7f83539254eb58bf8eba2290a9eecb5c8f"
+        "f942cce81fc301eb5eb4b5e8d3abe0fa7ccf1c94c2ae9ad63b9f96c3d76e0704"
     ),
     # a 14-episode gridworld log, written and read back
     "ingested/tree_ensemble": (
-        "4363b2992dcbbb51ac2dd9476647e2f2729fc18fcac1496f31cfc75929cc224a"
+        "6759e72ae3c4ca33d6cdbaec04782ffd4f211a03c18c157a8971968ef98aaa69"
     ),
 }
 
@@ -371,12 +372,9 @@ def test_counterfactual_stage_is_one_row_set(monkeypatch, overrides):
     engine = macie.CounterfactualEngine
     calls, replays, reads, stage2 = [], [], set(), []
 
-    def batches(f):
-        def counting(self, *args, **kwargs):
-            calls.append(len(args[0]))
-            return f(self, *args, **kwargs)
-
-        return counting
+    def counting_rollout(world, S0, *args, **kwargs):
+        calls.append(len(S0))
+        return rollout(world, S0, *args, **kwargs)
 
     def counting_replay(self, *args, **kwargs):
         replays.append(args)
@@ -395,12 +393,11 @@ def test_counterfactual_stage_is_one_row_set(monkeypatch, overrides):
         reads.add(tuple(sorted(set(members))))
         return per_episode(self, members)
 
+    rollout = macie.envs.kernels.rollout
     replay, replay_outcomes = engine.replay, engine._replay_outcomes
     per_episode = CoalitionValues.per_episode
-    monkeypatch.setattr(
-        macie.Environment, "rollout_batch", batches(macie.Environment.rollout_batch)
-    )
-    monkeypatch.setattr(engine, "_scm_outcomes", batches(engine._scm_outcomes))
+    # the one step loop, through the simulator or the fitted model
+    monkeypatch.setattr(macie.envs.kernels, "rollout", counting_rollout)
     monkeypatch.setattr(engine, "replay", counting_replay)
     monkeypatch.setattr(engine, "_replay_outcomes", blocked_after_stage2)
     monkeypatch.setattr(macie.report, "run_interventions", stage2_then_block)

@@ -16,8 +16,8 @@ from macie.scm import ConstantMean, Linear, MIN_SAMPLES
 from helpers import full_history
 
 
-def gridworld_history(episodes=25, seed=42):
-    env = make_env("gridworld")
+def gridworld_history(episodes=25, seed=42, horizon=None):
+    env = make_env("gridworld", horizon=horizon)
     eng = CounterfactualEngine(
         SeedTree(seed), OutcomeSpec(), env=env, policies=default_policies(2)
     )
@@ -61,7 +61,8 @@ def test_fit_rejects_unknown_model_and_small_histories():
     hist = gridworld_history(episodes=12)
     with pytest.raises(ConfigError):
         StructuralCausalModel().fit(hist, OutcomeSpec(), model="neural_net")
-    tiny = gridworld_history(episodes=3)
+    # two 3-step episodes hold 4 transitions
+    tiny = gridworld_history(episodes=2, horizon=3)
     scm = StructuralCausalModel()
     with pytest.raises(MacieError, match="too few samples"):
         scm.fit(tiny, OutcomeSpec())
@@ -83,13 +84,11 @@ def test_goal_coordinates_become_static_features():
 def test_node_set_and_acyclic_parent_structure():
     hist = gridworld_history()
     scm = StructuralCausalModel().fit(hist, OutcomeSpec())
-    assert "a0" in scm.parents and "ns0" in scm.parents and "y" in scm.parents
+    assert "a0" in scm.parents and "ns0" in scm.parents and "done" in scm.parents
     # parents only ever point backwards: s/prev_a feed a, s/a feed ns,
-    # a/ns feed r, r feeds y; that ordering admits no cycle
+    # a/ns feed r and done; that ordering admits no cycle
     def rank(name):
-        if name == "y":
-            return 4
-        if name == "r":
+        if name in ("r", "done"):
             return 3
         if name.startswith(("ns", "prev_a")):
             return 2 if name.startswith("ns") else 0
@@ -200,12 +199,21 @@ def test_batch_predictions_match_each_row_alone(model):
     A = rng.integers(0, scm.n_actions, (B, 2))
     NS = scm.predict_next_state(S, A)
     R = scm.predict_reward(A, NS)
-    Y = scm.predict_outcome(R * 25.0)
+    team = R[:, None] * rng.random((B, hist.horizon))
+    length = rng.integers(1, hist.horizon + 1, B)
+    Y = scm.predict_outcome(team, length)
     acts = [scm.predict_action(agent, S, PA) for agent in (0, 1)]
+    # one model step: the state features then the previous joint action
+    stepped = np.concatenate([S, PA], axis=1)
+    _, step_team, done = scm.transition(stepped, A, None)
     for b in range(B):
         one = slice(b, b + 1)
         for agent in (0, 1):
             assert acts[agent][b] == scm.predict_action(agent, S[one], PA[one])[0]
         assert np.array_equal(NS[b], scm.predict_next_state(S[one], A[one])[0])
         assert R[b] == scm.predict_reward(A[one], NS[one])[0]
-        assert Y[b] == scm.predict_outcome(R[one] * 25.0)[0]
+        assert Y[b] == scm.predict_outcome(team[one], length[one])[0]
+        alone = np.concatenate([S[one], PA[one]], axis=1)
+        _, alone_team, alone_done = scm.transition(alone, A[one], None)
+        assert np.array_equal(stepped[b], alone[0])
+        assert (step_team[b], done[b]) == (alone_team[0], alone_done[0])
