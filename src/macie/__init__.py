@@ -58,7 +58,6 @@ from .policies import (
 )
 from .report import (
     RunConfig,
-    explanation_from_report,
     read_report,
     run_pipeline,
     warmup,
@@ -111,7 +110,6 @@ __all__ = [
     "efficiency_gap",
     "emergence_metrics",
     "env_description",
-    "explanation_from_report",
     "list_envs",
     "make_env",
     "normalize_contributions",

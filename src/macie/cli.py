@@ -22,12 +22,11 @@ import sys
 from .core import OUTCOME_KINDS, ConfigError, MacieError, _is_finite, read_log
 from .counterfactual import MODES
 from .envs import env_description, list_envs
-from .explain import VERBOSITY_LEVELS
+from .explain import VERBOSITY_LEVELS, build_explanation
 from .report import (
     METHODS,
     RunConfig,
     bench_k_convergence,
-    explanation_from_report,
     read_report,
     run_pipeline,
     warmup,
@@ -66,7 +65,7 @@ def load_config_file(path):
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -271,7 +270,7 @@ def _cmd_ingest(args):
 
 def _cmd_explain(args):
     report = read_report(args.report)
-    explanation = explanation_from_report(report, verbosity=args.verbosity)
+    explanation = build_explanation(report, verbosity=args.verbosity)
     print(explanation.text)
     return 0
 

@@ -248,7 +248,10 @@ def read_log(path) -> History:
     Records before the first ``#episode`` line form an episode of seed 0.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+        try:
+            raw = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+        except UnicodeDecodeError as exc:
+            raise MacieError(f"{path} is not UTF-8 text: {exc}") from None
     if not raw or not raw[0][1].startswith(_LOG_MAGIC):
         raise MacieError(f"not an episode log: {path}")
     header_no, header_line = raw[0]

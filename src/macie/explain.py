@@ -1,4 +1,7 @@
-"""Render attributions and emergence metrics as text explanations.
+"""Render a report's attributions and emergence metrics as text.
+
+One renderer serves the run and a stored report alike: it reads the report
+dict, so a report re-rendered from its file says what the run said.
 
 Three verbosity levels nest: ``summary`` states each agent's share of the
 outcome, ``detailed`` appends critical timesteps and adds emergence,
@@ -38,35 +41,30 @@ def _fmt_steps(steps):
     return ", ".join(str(int(t)) for t in steps)
 
 
-def build_explanation(
-    phi,
-    y_fact,
-    y_cf,
-    critical=None,
-    bootstrap=None,
-    emergence=None,
-    verbosity="detailed",
-    tau_synergy=DEFAULT_TAU_SYNERGY,
-    tau_si=DEFAULT_TAU_SI,
-    alpha=0.05,
-):
-    """Compose the explanation for one analysis.
+def build_explanation(report, verbosity=None):
+    """Compose the explanation of one report, at any verbosity.
 
-    Agents are displayed 1-based and ordered by their share of the outcome.
-    ``y_cf`` holds each agent's mean counterfactual outcome; ``critical``
-    holds per-agent 1-based timesteps; ``bootstrap`` and ``emergence`` are
-    optional and simply widen what can be reported.
+    Reads only fields that ``read_report`` checks: ``phi``, ``y_fact``,
+    ``y_cf``, ``critical_timesteps``, ``ci.lows``/``highs``, the emergence
+    block's ``si``, ``cs``, ``ii`` and ``synergy``, and the config's
+    ``verbosity``, ``tau_synergy``, ``tau_si`` and ``alpha``. Agents are
+    displayed 1-based and ordered by their share of the outcome;
+    ``verbosity`` defaults to the report's own.
     """
+    cfg = report["config"]
+    if verbosity is None:
+        verbosity = cfg["verbosity"]
     if verbosity not in VERBOSITY_LEVELS:
         raise ConfigError(
             f"unknown verbosity {verbosity!r}; "
             f"choose from {', '.join(VERBOSITY_LEVELS)}"
         )
-    phi = np.asarray(phi, dtype=np.float64)
+    phi = np.asarray(report["phi"], dtype=np.float64)
     n = len(phi)
     phi_hat = normalize_contributions(phi)
     order = rank_agents(phi)
-    level = f"{(1.0 - alpha) * 100:g}"
+    ci, em = report["ci"], report["emergence"]
+    level = f"{(1.0 - cfg['alpha']) * 100:g}"
 
     lines = []
     agents_struct = []
@@ -84,24 +82,15 @@ def build_explanation(
             "impact": impact,
         }
         if verbosity in ("detailed", "full"):
-            steps = list(critical[i]) if critical is not None else []
+            steps = report["critical_timesteps"][i]
             if steps:
                 line += f" Critical actions occurred at timesteps {_fmt_steps(steps)}."
             entry["critical_timesteps"] = [int(t) for t in steps]
         if verbosity == "full":
+            low, high = ci["lows"][i], ci["highs"][i]
+            line += f" phi={phi[i]:.3f}, {level}% CI [{low:.3f}, {high:.3f}]."
             entry["phi"] = round(float(phi[i]), 3)
-            if bootstrap is not None:
-                line += (
-                    f" phi={phi[i]:.3f}, {level}% CI "
-                    f"[{bootstrap.lows[i]:.3f}, {bootstrap.highs[i]:.3f}]."
-                )
-                entry["ci"] = [
-                    round(float(bootstrap.lows[i]), 3),
-                    round(float(bootstrap.highs[i]), 3),
-                ]
-            else:
-                line += f" phi={phi[i]:.3f}."
-                entry["ci"] = None
+            entry["ci"] = [round(float(low), 3), round(float(high), 3)]
         lines.append(line)
         agents_struct.append(entry)
 
@@ -109,58 +98,57 @@ def build_explanation(
     if verbosity == "summary":
         return Explanation(verbosity=verbosity, lines=lines, structured=structured)
 
-    synergy_flag = False
-    interference_flag = False
-    if emergence is not None:
-        si = emergence.si
-        synergy_flag = si > tau_si
-        interference_flag = si < -tau_si
-        if synergy_flag:
-            lines.append(
-                "Emergent synergy detected: the team outcome exceeds the "
-                f"sum of individual outcomes (SI={si:.3f})."
-            )
-        elif interference_flag:
-            lines.append(
-                "Emergent interference detected: the team outcome falls "
-                f"short of the sum of individual outcomes (SI={si:.3f})."
-            )
-        structured["emergence"] = {
-            "si": round(float(emergence.si), 3),
-            "cs": round(float(emergence.cs), 3),
-            "ii": round(float(emergence.ii), 3),
-            "synergy_detected": bool(synergy_flag),
-            "interference_detected": bool(interference_flag),
-        }
+    si = em["si"]
+    tau_si = cfg["tau_si"]
+    synergy_flag = si > tau_si
+    interference_flag = si < -tau_si
+    if synergy_flag:
+        lines.append(
+            "Emergent synergy detected: the team outcome exceeds the "
+            f"sum of individual outcomes (SI={si:.3f})."
+        )
+    elif interference_flag:
+        lines.append(
+            "Emergent interference detected: the team outcome falls "
+            f"short of the sum of individual outcomes (SI={si:.3f})."
+        )
+    structured["emergence"] = {
+        "si": round(float(si), 3),
+        "cs": round(float(em["cs"]), 3),
+        "ii": round(float(em["ii"]), 3),
+        "synergy_detected": bool(synergy_flag),
+        "interference_detected": bool(interference_flag),
+    }
 
-        interactions = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                sigma = float(emergence.synergy[i, j])
-                if abs(sigma) <= tau_synergy:
-                    continue
-                kind = "cooperation" if sigma > 0 else "interference"
-                phrase = f"{'positive' if sigma > 0 else 'negative'} synergy ({kind})"
-                lines.append(
-                    f"Agents {i + 1} and {j + 1} show {phrase}, "
-                    f"sigma={sigma:.3f}."
-                )
-                interactions.append(
-                    {"agents": [i + 1, j + 1], "sigma": round(sigma, 3),
-                     "kind": kind}
-                )
-        structured["interactions"] = interactions
+    interactions = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            sigma = float(em["synergy"][i][j])
+            if abs(sigma) <= cfg["tau_synergy"]:
+                continue
+            kind = "cooperation" if sigma > 0 else "interference"
+            phrase = f"{'positive' if sigma > 0 else 'negative'} synergy ({kind})"
+            lines.append(
+                f"Agents {i + 1} and {j + 1} show {phrase}, "
+                f"sigma={sigma:.3f}."
+            )
+            interactions.append(
+                {"agents": [i + 1, j + 1], "sigma": round(sigma, 3),
+                 "kind": kind}
+            )
+    structured["interactions"] = interactions
 
     star = order[0]
     delta = -float(phi[star])
+    y_fact, y_cf = report["y_fact"], float(report["y_cf"][star])
     lines.append(
         f"Counterfactual: Without agent {star + 1}, the outcome would "
-        f"change by {delta:.3f} (from {y_fact:.3f} to {float(y_cf[star]):.3f})."
+        f"change by {delta:.3f} (from {y_fact:.3f} to {y_cf:.3f})."
     )
     structured["counterfactual"] = {
         "agent": star + 1,
         "delta": round(delta, 3),
         "y_fact": round(float(y_fact), 3),
-        "y_cf": round(float(y_cf[star]), 3),
+        "y_cf": round(y_cf, 3),
     }
     return Explanation(verbosity=verbosity, lines=lines, structured=structured)

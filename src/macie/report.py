@@ -21,12 +21,11 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .attribution import (
-    BootstrapResult,
     CoalitionValues,
     agent_ranks,
     bootstrap_ci,
@@ -43,7 +42,6 @@ from .attribution import (
 )
 from .collective import (
     DEFAULT_N_BINS,
-    EmergenceMetrics,
     emergence_coalitions,
     emergence_metrics,
 )
@@ -111,7 +109,7 @@ KNOWN_REPORT_KEYS = {
 }
 # present only for the Shapley methods
 OPTIONAL_REPORT_KEYS = {"efficiency"}
-# fields of the nested blocks that re-rendering an explanation reads
+# fields of the nested blocks that read_report checks
 REPORT_BLOCK_KEYS = {
     "ci": ("lows", "highs", "se", "alpha"),
     "emergence": ("synergy", "si", "cs", "ii", "ii_pairs"),
@@ -345,48 +343,18 @@ def run_pipeline(config: RunConfig, history: History | None = None):
     boot = bootstrap_ci(phi_pe, indices, config.alpha)
     timings["6"] = time.perf_counter_ns() - t0
 
-    t0 = time.perf_counter_ns()
-    explanation = build_explanation(
-        phi,
-        effects.y_fact,
-        effects.y_cf,
-        critical=effects.critical,
-        bootstrap=boot,
-        emergence=emerg,
-        verbosity=config.verbosity,
-        tau_synergy=config.tau_synergy,
-        tau_si=config.tau_si,
-        alpha=config.alpha,
-    )
-    timings["7"] = time.perf_counter_ns() - t0
-
-    timings["total"] = time.perf_counter_ns() - t_start
-
     report = {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
+        # RunConfig's fields in order, with the values this run resolved
         "config": {
+            **asdict(config),
             "env": engine.env.name if engine.env is not None else None,
             "episodes": episodes,
             "horizon": engine.horizon,
-            "k": config.k,
             "m": m_used,
-            "b": config.b,
-            "alpha": config.alpha,
-            "method": config.method,
-            "model": config.model,
-            "mode": config.mode,
-            "seed": config.seed,
             "threads": 1,
-            "verbosity": config.verbosity,
-            "outcome": config.outcome,
             "alphas": {str(i): float(a) for i, a in sorted(config.alphas.items())},
-            "env_config": dict(config.env_config),
-            "epsilon_frac": config.epsilon_frac,
-            "tau_synergy": config.tau_synergy,
-            "tau_si": config.tau_si,
-            "ii_bins": config.ii_bins,
-            "corr_threshold": config.corr_threshold,
         },
         "n_agents": n,
         "n_episodes": episodes,
@@ -417,12 +385,8 @@ def run_pipeline(config: RunConfig, history: History | None = None):
             "name": config.model,
             "inter_agent_edges": [list(e) for e in scm.inter_agent_edges()],
         },
-        "explanation": {
-            "text": explanation.text,
-            "lines": list(explanation.lines),
-            "structured": explanation.structured,
-        },
-        "timings_ns": {k: int(v) for k, v in timings.items()},
+        "explanation": None,  # rendered from this report below
+        "timings_ns": None,
         "traces": {
             "factual": [float(v) for v in effects.fact_trace],
             "counterfactual": [
@@ -437,6 +401,18 @@ def run_pipeline(config: RunConfig, history: History | None = None):
             "relative": float(rel),
             "holds": bool(rel <= 1e-6),
         }
+
+    t0 = time.perf_counter_ns()
+    explanation = build_explanation(report)
+    timings["7"] = time.perf_counter_ns() - t0
+    timings["total"] = time.perf_counter_ns() - t_start
+
+    report["explanation"] = {
+        "text": explanation.text,
+        "lines": list(explanation.lines),
+        "structured": explanation.structured,
+    }
+    report["timings_ns"] = {k: int(v) for k, v in timings.items()}
     return report
 
 
@@ -454,7 +430,7 @@ def read_report(path):
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise MacieError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or data.get("format") != REPORT_FORMAT:
         raise MacieError(f"{path} is not an attribution report")
@@ -579,38 +555,8 @@ def write_plotdata(report, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def explanation_from_report(report, verbosity=None):
-    """Re-render the explanation of a stored report, any verbosity."""
-    n = report["n_agents"]
-    ci = report["ci"]
-    boot = BootstrapResult(
-        lows=np.asarray(ci["lows"], dtype=np.float64),
-        highs=np.asarray(ci["highs"], dtype=np.float64),
-        samples=np.empty((0, n)),
-        se=np.asarray(ci["se"], dtype=np.float64),
-        alpha=ci["alpha"],
-    )
-    em = report["emergence"]
-    emerg = EmergenceMetrics(
-        synergy=np.asarray(em["synergy"], dtype=np.float64),
-        si=em["si"],
-        cs=em["cs"],
-        ii=em["ii"],
-        ii_pairs=np.asarray(em["ii_pairs"], dtype=np.float64),
-    )
-    cfg = report["config"]
-    return build_explanation(
-        np.asarray(report["phi"], dtype=np.float64),
-        report["y_fact"],
-        np.asarray(report["y_cf"], dtype=np.float64),
-        critical=report["critical_timesteps"],
-        bootstrap=boot,
-        emergence=emerg,
-        verbosity=verbosity or cfg["verbosity"],
-        tau_synergy=cfg["tau_synergy"],
-        tau_si=cfg["tau_si"],
-        alpha=cfg["alpha"],
-    )
+# the benchmark's round-trip check calls the renderer by this name
+explanation_from_report = build_explanation
 
 
 # -- warmup and benchmarks -----------------------------------------------------------

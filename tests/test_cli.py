@@ -97,6 +97,12 @@ def test_ingest_missing_or_corrupt_log_returns_3(tmp_path, capsys):
     assert main(["ingest", "--log", str(junk)]) == 3
     assert "error:" in capsys.readouterr().err
 
+    junk.write_bytes(b"\xff\xfe{}")
+    assert main(["ingest", "--log", str(junk)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "is not UTF-8 text" in err
+
 
 def _gridworld_log(path, episodes=3):
     env = make_env("gridworld")
@@ -190,9 +196,16 @@ def test_malformed_log_names_the_line(tmp_path, capsys, line, corrupt):
 
 def test_explain_rejects_malformed_reports(tmp_path, capsys):
     not_json = tmp_path / "truncated.json"
-    not_json.write_text('{"format": "macie-report", ')
-    assert main(["explain", "--report", str(not_json)]) == 3
-    assert "not valid JSON" in capsys.readouterr().err
+    for content in [
+        b'{"format": "macie-report", ',
+        b"\xff\xfe{}",  # not UTF-8
+        b'{"format": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",  # too deep
+    ]:
+        not_json.write_bytes(content)
+        assert main(["explain", "--report", str(not_json)]) == 3
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "not valid JSON" in err
 
     report_path = tmp_path / "report.json"
     assert main(
@@ -351,10 +364,19 @@ def test_config_file_with_flag_precedence(tmp_path, capsys):
 def test_config_file_errors(tmp_path, capsys):
     missing = tmp_path / "none.json"
     assert main(["run", "--config", str(missing)]) == 2
+    capsys.readouterr()
 
     bad_json = tmp_path / "bad.json"
-    bad_json.write_text("{not json")
-    assert main(["run", "--config", str(bad_json)]) == 2
+    for content in [
+        b"{not json",
+        b"\xff\xfe{}",  # not UTF-8
+        b"[" * 200_000 + b"]" * 200_000,  # too deep
+    ]:
+        bad_json.write_bytes(content)
+        assert main(["run", "--config", str(bad_json)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "is not valid JSON" in err
 
     unknown = tmp_path / "unknown.json"
     for key, value in [("turbo", True), ("threads", 2)]:

@@ -14,6 +14,8 @@ import macie.rng
 from macie.attribution import CoalitionValues, run_interventions, shapley_coalitions
 from macie.core import ConfigError, MacieError, read_log, write_log
 from macie.counterfactual import MODES, leave_one_out
+from macie.envs import list_envs
+from macie.explain import VERBOSITY_LEVELS, build_explanation
 from macie.report import (
     DEFAULT_EPISODES,
     KNOWN_REPORT_KEYS,
@@ -23,7 +25,6 @@ from macie.report import (
     RunConfig,
     bench_k_convergence,
     default_permutations,
-    explanation_from_report,
     read_report,
     run_pipeline,
     write_csv,
@@ -246,6 +247,22 @@ def test_reports_match_golden_digests(case):
     report.pop("timings_ns")
     blob = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == GOLDEN_REPORTS[case]
+
+
+# sha256 of the file write_report writes for the gridworld report above,
+# timings removed; unlike the sorted digests it also pins key order and layout
+GOLDEN_REPORT_FILE = "553f3ba35fcc1e1fe5bf1294fd986a85eba6d585d78d0682c604480f31a4dab6"
+
+
+def test_written_report_matches_golden_bytes(tmp_path):
+    config = RunConfig(
+        env="gridworld", episodes=6, k=3, b=20, method="shapley_exact", seed=42
+    )
+    report = run_pipeline(config)
+    report.pop("timings_ns")
+    path = tmp_path / "report.json"
+    write_report(report, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_REPORT_FILE
 
 
 # The other two methods, on the same small config: naive_cf reads its
@@ -582,14 +599,86 @@ def test_plotdata_folds_collective_metrics_into_effects(tmp_path, report):
     assert "3.5" not in by_step
 
 
-def test_explanation_can_be_rebuilt_from_the_report(report):
-    exp = explanation_from_report(report)
-    assert exp.lines == report["explanation"]["lines"]
-    assert exp.structured == report["explanation"]["structured"]
+@pytest.mark.parametrize(
+    "case",
+    [f"{env}/{method}" for env in list_envs() for method in METHODS]
+    + ["ingested/shapley_exact"],
+)
+def test_explanation_can_be_rebuilt_from_the_report(tmp_path, case):
+    env_name, _, method = case.partition("/")
+    history = None
+    mode = "env_resim"
+    if env_name == "ingested":
+        from macie.core import OutcomeSpec
+        from macie.counterfactual import CounterfactualEngine
+        from macie.envs import make_env
+        from macie.policies import default_policies
+        from macie.rng import SeedTree
 
-    summary = explanation_from_report(report, verbosity="summary")
-    for line in summary.lines:
-        assert any(other.startswith(line) for other in exp.lines)
+        env_name, mode = "gridworld", "scm_rollout"
+        eng = CounterfactualEngine(
+            SeedTree(3), OutcomeSpec(), env=make_env("gridworld"),
+            policies=default_policies(2),
+        )
+        log = tmp_path / "episodes.log"
+        write_log(eng.generate_history(6), log)
+        history = read_log(log)
+    runs = {
+        level: run_pipeline(
+            RunConfig(env=env_name, episodes=6, k=3, b=20, method=method,
+                      mode=mode, seed=42, verbosity=level),
+            history=history,
+        )
+        for level in VERBOSITY_LEVELS
+    }
+    path = tmp_path / "report.json"
+    write_report(runs["detailed"], path)
+    stored = read_report(path)
+    for level, run in runs.items():
+        exp = build_explanation(stored, verbosity=level)
+        assert exp.lines == run["explanation"]["lines"]
+        assert exp.structured == run["explanation"]["structured"]
+        # and at the stored report's own verbosity
+        write_report(run, path)
+        exp = build_explanation(read_report(path))
+        assert exp.lines == run["explanation"]["lines"]
+        assert exp.structured == run["explanation"]["structured"]
+
+
+# what the renderer reads of each field: None for the whole value
+RENDERER_READS = {
+    "phi": None,
+    "y_fact": None,
+    "y_cf": None,
+    "critical_timesteps": None,
+    "ci": ("lows", "highs", "alpha"),
+    "emergence": ("si", "cs", "ii", "synergy"),
+    "config": ("verbosity", "tau_synergy", "tau_si", "alpha"),
+}
+
+
+def test_renderer_reads_only_checked_fields(tmp_path):
+    path = tmp_path / "report.json"
+    write_report(run_pipeline(small_config(method="shapley_exact")), path)
+    stored = read_report(path)
+    sentinel = object()
+    blanked = {
+        key: (
+            sentinel if key not in RENDERER_READS
+            else value if RENDERER_READS[key] is None
+            else {k: v if k in RENDERER_READS[key] else sentinel
+                  for k, v in value.items()}
+        )
+        for key, value in stored.items()
+    }
+    assert blanked["efficiency"] is sentinel
+    assert blanked["ci"]["se"] is sentinel
+    assert blanked["emergence"]["ii_pairs"] is sentinel
+    for level in VERBOSITY_LEVELS:
+        exp = build_explanation(stored, verbosity=level)
+        kept = build_explanation(blanked, verbosity=level)
+        assert kept.lines == exp.lines
+        assert kept.structured == exp.structured
 
 
 # -- benchmarks ---------------------------------------------------------------------
