@@ -10,7 +10,6 @@ from .attribution import (
     BootstrapResult,
     CoalitionValues,
     EffectResult,
-    GameValues,
     agent_ranks,
     bootstrap_ci,
     bootstrap_indices,
@@ -84,7 +83,6 @@ __all__ = [
     "Environment",
     "Episode",
     "Explanation",
-    "GameValues",
     "History",
     "MacieError",
     "OUTCOME_KINDS",

@@ -4,17 +4,18 @@ Two estimators read one coalition game, v(S) = outcome when exactly the
 agents in S keep their policies: the naive counterfactual effect (factual
 outcome minus the mean outcome with one agent swapped to baseline) and
 Shapley values. :class:`CoalitionValues` is the run's one table of replayed
-rows (S, e, k), ``{S: y[E, K_S]}``: Shapley enumeration, Monte Carlo
-permutations and bootstrap resampling read its column k = 0, and agent i's
-K intervention samples are the row of coalition N minus i, so the naive
-effects and the Shapley values share those replays.
+rows (S, e, k), ``{S: y[E, K_S]}``. Its column k = 0 is the game itself,
+``v = {S: y_S[E]}`` keyed by sorted member tuples: Shapley enumeration,
+Monte Carlo permutations and the efficiency check are arithmetic on that
+mapping. Agent i's K intervention samples are the row of coalition N minus
+i, so the naive effects and the Shapley values share those replays.
 
 :func:`run_interventions` replays the leave-one-out coalitions at K
 replicates, and the coalitions a run reads later (:func:`shapley_coalitions`
 for its estimator) at one, as one row set into the table; it returns the
 interventions as arrays, ``y_cf[N, E, K]`` and ``traces[N, E, K, T]``, and
 :func:`effects_from_interventions` reduces them without a per-sample loop.
-Reading a coalition that is not in the table is an error.
+Reading a coalition that ``v`` does not hold raises ``KeyError``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ class CoalitionValues:
     (S, e, k) the engine replayed.
 
     Column k = 0 is v(S) per episode. The table is filled by
-    :func:`run_interventions`, :meth:`replay` or :meth:`precompute`;
-    reading a coalition it does not hold raises :class:`MacieError`.
+    :func:`run_interventions`, :meth:`replay` or :meth:`precompute`.
     """
 
     def __init__(self, engine, n_episodes):
@@ -47,15 +47,6 @@ class CoalitionValues:
         self.n_agents = engine.n_agents
         self.n_episodes = n_episodes
         self.table = {}
-
-    def per_episode(self, members):
-        key = tuple(sorted(set(members)))
-        if key not in self.table:
-            raise MacieError(f"coalition {key} was not replayed")
-        return self.table[key][:, 0]
-
-    def value(self, members):
-        return float(np.mean(self.per_episode(members)))
 
     def replay(self, coalitions, traced=()):
         """Replay ``coalitions`` ({S: K_S}) on every episode as one row set
@@ -73,23 +64,10 @@ class CoalitionValues:
         return self
 
 
-class GameValues:
-    """Adapter for synthetic games given as a plain value function."""
-
-    def __init__(self, n_agents, fn):
-        self.n_agents = n_agents
-        self.n_episodes = 1
-        self._fn = fn
-        self._cache = {}
-
-    def per_episode(self, members):
-        key = tuple(sorted(set(members)))
-        if key not in self._cache:
-            self._cache[key] = np.array([float(self._fn(key))], dtype=np.float64)
-        return self._cache[key]
-
-    def value(self, members):
-        return float(self.per_episode(members)[0])
+def game_size(v):
+    """The agent count of a coalition game ``v``: one past the highest
+    member any coalition holds, the grand coalition's size."""
+    return 1 + max((S[-1] for S in v if S), default=-1)
 
 
 @dataclass
@@ -198,16 +176,15 @@ def shapley_coalitions(n_agents, permutations=None):
     ]
 
 
-def shapley_exact(values):
-    """Exact Shapley values by full coalition enumeration.
+def shapley_exact(v):
+    """Exact Shapley values by full coalition enumeration of ``v``.
 
     Returns (phi, phi_pe); phi_pe holds one Shapley vector per episode so
     callers can bootstrap over episodes.
     """
-    n = values.n_agents
+    n = game_size(v)
     members_of = shapley_coalitions(n)
-    E = values.n_episodes
-    phi_pe = np.zeros((n, E))
+    phi_pe = np.zeros((n, len(v[members_of[-1]])))
     fact = [factorial(k) for k in range(n + 1)]
     denom = fact[n]
     for i in range(n):
@@ -216,9 +193,7 @@ def shapley_exact(values):
                 continue
             s = bin(mask).count("1")
             w = fact[s] * fact[n - 1 - s] / denom
-            gain = values.per_episode(members_of[mask | (1 << i)]) - (
-                values.per_episode(members_of[mask])
-            )
+            gain = v[members_of[mask | (1 << i)]] - v[members_of[mask]]
             phi_pe[i] += w * gain
     return phi_pe.mean(axis=1), phi_pe
 
@@ -251,28 +226,26 @@ def sample_permutations(n_agents, n_permutations, rng):
     return out
 
 
-def shapley_mc(values, permutations):
-    """Monte Carlo Shapley from an explicit permutation schedule."""
+def shapley_mc(v, permutations):
+    """Monte Carlo Shapley of ``v`` from an explicit permutation schedule."""
     perms = np.asarray(permutations)
     m, n = perms.shape
-    E = values.n_episodes
-    phi_pe = np.zeros((n, E))
+    phi_pe = np.zeros((n, len(v[()])))
     for row in perms:
-        prev = values.per_episode(())
+        prev = v[()]
         members = []
         for agent in row:
             members.append(int(agent))
-            cur = values.per_episode(tuple(sorted(members)))
+            cur = v[tuple(sorted(members))]
             phi_pe[agent] += cur - prev
             prev = cur
     phi_pe /= m
     return phi_pe.mean(axis=1), phi_pe
 
 
-def efficiency_gap(phi, values):
+def efficiency_gap(phi, v):
     """|sum(phi) - (v(all) - v(empty))| and its relative size."""
-    n = values.n_agents
-    span = values.value(tuple(range(n))) - values.value(())
+    span = float(np.mean(v[tuple(range(len(phi)))])) - float(np.mean(v[()]))
     gap = abs(float(np.sum(phi)) - span)
     return gap, gap / max(abs(span), 1e-9)
 

@@ -5,7 +5,9 @@ synergy compares the grand coalition against dropping a pair and their solo
 credits; the synergy index compares the team outcome against the sum of
 solo outcomes on a bounded scale; coordination correlates consecutive
 joint actions; information integration totals the conditional mutual
-information between agents' actions given a discretized state.
+information between agents' actions given a discretized state. The synergy
+metrics read the coalition game ``v = {S: y_S[E]}``, whose means are the
+coalition values.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from math import log
 
 import numpy as np
 
+from .attribution import game_size
 from .core import ConfigError
 
 DEFAULT_N_BINS = 4
@@ -31,29 +34,30 @@ def emergence_coalitions(n_agents):
     return [grand, *((i,) for i in grand), *rests]
 
 
-def synergy_matrix(values, phi):
+def synergy_matrix(v, phi):
     """sigma_ij = v(all) - v(all minus {i, j}) - phi_i - phi_j, zero diagonal."""
-    n = values.n_agents
+    n = game_size(v)
     phi = np.asarray(phi, dtype=np.float64)
     if len(phi) != n:
         raise ConfigError(f"expected {n} attributions, got {len(phi)}")
-    grand = values.value(tuple(range(n)))
+    grand = float(np.mean(v[tuple(range(n))]))
     sigma = np.zeros((n, n))
     for i, j in combinations(range(n), 2):
         rest = tuple(k for k in range(n) if k not in (i, j))
-        sigma[i, j] = sigma[j, i] = grand - values.value(rest) - phi[i] - phi[j]
+        rest_value = float(np.mean(v[rest]))
+        sigma[i, j] = sigma[j, i] = grand - rest_value - phi[i] - phi[j]
     return sigma
 
 
-def synergy_index(values):
+def synergy_index(v):
     """Bounded gap between the team outcome and the sum of solo outcomes.
 
     Positive means the team achieves what no sum of individuals would;
     negative means agents get in each other's way. Clipped to [-2, 2].
     """
-    n = values.n_agents
-    grand = values.value(tuple(range(n)))
-    solo_sum = float(sum(values.value((i,)) for i in range(n)))
+    n = game_size(v)
+    grand = float(np.mean(v[tuple(range(n))]))
+    solo_sum = float(sum(float(np.mean(v[(i,)])) for i in range(n)))
     denom = max(abs(grand), abs(solo_sum), 1e-9)
     return float(np.clip((grand - solo_sum) / denom, -SI_BOUND, SI_BOUND))
 
@@ -155,11 +159,11 @@ class EmergenceMetrics:
     ii_pairs: np.ndarray  # (N, N)
 
 
-def emergence_metrics(history, values, phi, n_bins=DEFAULT_N_BINS):
+def emergence_metrics(history, v, phi, n_bins=DEFAULT_N_BINS):
     pairs = pairwise_conditional_mi(history, n_bins)
     return EmergenceMetrics(
-        synergy=synergy_matrix(values, phi),
-        si=synergy_index(values),
+        synergy=synergy_matrix(v, phi),
+        si=synergy_index(v),
         cs=coordination_score(history),
         ii=float(pairs.sum()),
         ii_pairs=pairs,

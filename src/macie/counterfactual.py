@@ -242,7 +242,7 @@ class CounterfactualEngine:
             S0 = np.concatenate(first, axis=1)
             factual = policy_arrays([SkillPolicy(1.0)] * n)
         act_u = self._act_uniforms(episodes, reps)
-        if world.uses_env_draws:
+        if world.uses_env_uniforms:
             keys = np.stack([episodes, env_rep], axis=1)
             env_u = self._gather(self._env_u, keys, env_uniforms)
         else:

@@ -5,8 +5,7 @@ space, named state features, and its dynamics written once over a batch
 axis: ``greedy_actions`` (every agent's greedy action in every row) and
 ``transition`` (apply one joint action to every row).
 :func:`kernels.rollout` simulates whole batches of episodes from pre-drawn
-uniforms with them; ``rollout`` runs it on a single row, so the
-single-episode and batch paths cannot drift apart.
+uniforms with them.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Any
 import numpy as np
 
 from ..core import ConfigError, _is_finite
-from . import kernels
 from .kernels import grid_moves, take
 
 
@@ -30,7 +28,8 @@ class Environment:
     n_actions: int
     state_dim: int
     feature_names: list[str]
-    uses_env_draws = False
+    # whether ``transition`` reads ``env_u``; replays pass zeros otherwise
+    uses_env_uniforms = False
 
     def __init__(self, horizon):
         if horizon < 1:
@@ -51,26 +50,6 @@ class Environment:
         ``(rewards[B, n], team[B], done[B])``.
         """
         raise NotImplementedError
-
-    def rollout(self, state0, horizon, kinds, alphas, consts, act_u, env_u):
-        """One episode: :func:`kernels.rollout` on a single row, ``length``
-        an int."""
-        states, actions, rewards, team, length = kernels.rollout(
-            self,
-            np.asarray(state0, dtype=np.float64)[None],
-            np.asarray(kinds)[None],
-            np.asarray(alphas)[None],
-            np.asarray(consts)[None],
-            np.asarray(act_u)[None, :horizon],
-            np.asarray(env_u)[None, :horizon],
-        )
-        return states[0], actions[0], rewards[0], team[0], int(length[0])
-
-    def env_draws(self, rng, horizon):
-        """Pre-draw environment noise for a rollout (empty unless needed)."""
-        if self.uses_env_draws:
-            return rng.random((horizon, self.n_agents, 2))
-        return np.zeros((horizon, self.n_agents, 2))
 
 
 @dataclass(frozen=True)
@@ -358,7 +337,7 @@ class Traffic(Environment):
         "ns_queue2",
         "ew_queue2",
     ]
-    uses_env_draws = True
+    uses_env_uniforms = True
 
     def __init__(self, config: TrafficConfig):
         super().__init__(config.horizon)

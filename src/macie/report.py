@@ -60,7 +60,7 @@ from .counterfactual import (
     MODES,
     CounterfactualEngine,
 )
-from .envs import list_envs, make_env
+from .envs import kernels, list_envs, make_env
 from .explain import (
     DEFAULT_TAU_SI,
     DEFAULT_TAU_SYNERGY,
@@ -314,22 +314,24 @@ def run_pipeline(config: RunConfig, history: History | None = None):
     values = CoalitionValues(engine, episodes)
     replays = run_interventions(engine, episodes, config.k, values, reads)
     timings["2"] = time.perf_counter_ns() - t0
+    # the coalition game every later statistic reads: v(S) per episode
+    v = {S: y[:, 0] for S, y in values.table.items()}
 
     t0 = time.perf_counter_ns()
     effects = effects_from_interventions(engine, replays)
     timings["3"] = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()
-    emerg = emergence_metrics(hist, values, effects.phi, config.ii_bins)
+    emerg = emergence_metrics(hist, v, effects.phi, config.ii_bins)
     timings["3.5"] = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()
     if config.method == "naive_cf":
         phi, phi_pe = effects.phi, effects.phi_pe
     elif config.method == "shapley_exact":
-        phi, phi_pe = shapley_exact(values)
+        phi, phi_pe = shapley_exact(v)
     else:
-        phi, phi_pe = shapley_mc(values, perms)
+        phi, phi_pe = shapley_mc(v, perms)
     timings["4"] = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()
@@ -395,7 +397,7 @@ def run_pipeline(config: RunConfig, history: History | None = None):
         },
     }
     if config.method in ("shapley_exact", "shapley_mc"):
-        gap, rel = efficiency_gap(phi, values)
+        gap, rel = efficiency_gap(phi, v)
         report["efficiency"] = {
             "gap": float(gap),
             "relative": float(rel),
@@ -478,6 +480,8 @@ def read_report(path):
     for name, value in (("ci.alpha", ci["alpha"]), ("config.alpha", cfg["alpha"])):
         if not 0.0 < value < 1.0:
             raise MacieError(f"report field {name} is not in (0, 1)")
+    if ci["alpha"] != cfg["alpha"]:
+        raise MacieError("report field ci.alpha differs from config.alpha")
     if cfg["verbosity"] not in VERBOSITY_LEVELS:
         raise MacieError(
             "report field config.verbosity is not one of "
@@ -572,10 +576,12 @@ def warmup(env_names=None):
     for name in env_names or list_envs():
         env = make_env(name)
         s0 = env.initial_state(rng)
-        kinds, alphas, consts = policy_arrays(default_policies(env.n_agents))
-        act_u = rng.random((2, env.n_agents, 2))
-        env_u = env.env_draws(rng, 2)
-        env.rollout(s0, 2, kinds, alphas, consts, act_u, env_u)
+        policies = (p[None] for p in policy_arrays(default_policies(env.n_agents)))
+        act_u = rng.random((1, 2, env.n_agents, 2))  # one row, two steps
+        env_u = np.zeros(act_u.shape)
+        if env.uses_env_uniforms:
+            env_u = rng.random(act_u.shape)
+        kernels.rollout(env, s0[None], *policies, act_u, env_u)
     X = rng.random((20, 3))
     TreeEnsemble(n_trees=2, max_depth=2).fit(X, rng.random(20), rng).predict(X)
 

@@ -130,7 +130,7 @@ def _assemble_rows(history):
 
 
 class StructuralCausalModel:
-    uses_env_draws = False
+    uses_env_uniforms = False
 
     def __init__(self):
         self.fitted = False
@@ -227,11 +227,16 @@ class StructuralCausalModel:
         self.outcome = outcome
         blocks = {"s": S, "prev_a": PA, "a": A, "ns": NS}
         n = S.shape[0]
+        if n < MIN_SAMPLES:
+            raise MacieError(f"too few samples to fit the model: {n} < {MIN_SAMPLES}")
+        # each action node fits one regression per action value
+        if self.n_actions > n:
+            raise MacieError(
+                f"action index {self.n_actions - 1} is not below the {n} pooled "
+                f"transitions; the model would fit {self.n_actions} regressions "
+                f"per agent"
+            )
         for node, target in self._targets(A, NS, R, D).items():
-            if n < MIN_SAMPLES:
-                raise MacieError(
-                    f"too few samples to fit node {node}: {n} < {MIN_SAMPLES}"
-                )
             X = self._design(node, blocks)
             self.equations[node] = self._fit_node(node, X, target, rng)
         self.fitted = True

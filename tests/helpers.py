@@ -4,6 +4,7 @@ import numpy as np
 
 from macie import History
 from macie.core import _EPISODE_ARRAYS
+from macie.envs import kernels
 
 DIRS = np.array([[0.0, 1.0], [0.0, -1.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
 
@@ -46,6 +47,18 @@ def step(env, state, actions, rng=None):
     a = np.asarray(actions, dtype=np.int64)[None]
     rewards, team, done = env.transition(s, a, env_u)
     return s[0], rewards[0], float(team[0]), bool(done[0])
+
+
+def rollout_one(env, state0, kinds, alphas, consts, act_u, env_u):
+    """One episode through ``kernels.rollout``, as a batch of one row.
+
+    ``act_u`` and ``env_u`` are ``[T, n, 2]``. Returns ``(states, actions,
+    rewards, team, length)`` of that row, ``length`` an int.
+    """
+    args = (state0, kinds, alphas, consts, act_u, env_u)
+    out = kernels.rollout(env, *(np.asarray(x)[None] for x in args))
+    states, actions, rewards, team, length = (x[0] for x in out)
+    return states, actions, rewards, team, int(length)
 
 
 def nav_history(seed, episodes=30, horizon=15):

@@ -12,7 +12,6 @@ import numpy as np
 
 from macie.attribution import (
     CoalitionValues,
-    GameValues,
     bootstrap_ci,
     bootstrap_indices,
     compare_agents,
@@ -37,7 +36,7 @@ from macie.report import (
 from macie.rng import SeedTree
 from macie.scm import StructuralCausalModel
 
-from helpers import action_history, nav_history
+from helpers import action_history, nav_history, rollout_one
 
 
 def verdict(label, ok, detail=""):
@@ -55,8 +54,9 @@ def random_game(n, rng):
     return table
 
 
-def game(n, table):
-    return GameValues(n, lambda members: table[members])
+def game(table):
+    """The one-episode coalition game ``{S: [table[S]]}``."""
+    return {S: np.array([table[S]]) for S in table}
 
 
 # -- 1: Shapley axioms --------------------------------------------------------------
@@ -70,7 +70,7 @@ def test_c01_shapley_axioms():
         rng = np.random.default_rng(n)
         for _ in range(100):
             table = random_game(n, rng)
-            phi, _ = shapley_exact(game(n, table))
+            phi, _ = shapley_exact(game(table))
 
             # efficiency
             grand = table[tuple(range(n))]
@@ -83,19 +83,19 @@ def test_c01_shapley_axioms():
                 + float(len([j for j in m if j > 1]))
                 for m in table
             }
-            phi_sym, _ = shapley_exact(game(n, sym))
+            phi_sym, _ = shapley_exact(game(sym))
             worst = max(worst, abs(phi_sym[0] - phi_sym[1]))
 
             # null player: agent n-1 never changes a coalition's value
             null = {m: table[tuple(j for j in m if j != n - 1)] for m in table}
-            phi_null, _ = shapley_exact(game(n, null))
+            phi_null, _ = shapley_exact(game(null))
             worst = max(worst, abs(phi_null[n - 1]))
 
             # additivity
             other = random_game(n, rng)
-            phi_other, _ = shapley_exact(game(n, other))
+            phi_other, _ = shapley_exact(game(other))
             combined = {m: table[m] + other[m] for m in table}
-            phi_sum, _ = shapley_exact(game(n, combined))
+            phi_sum, _ = shapley_exact(game(combined))
             worst = max(worst, float(np.max(np.abs(phi_sum - phi - phi_other))))
     elapsed = time.perf_counter() - t0
     verdict(
@@ -115,7 +115,7 @@ def test_c02_monte_carlo_accuracy():
     for seed in range(200):
         for n, m in budgets.items():
             table = random_game(n, np.random.default_rng(seed * 7 + n))
-            g = game(n, table)
+            g = game(table)
             exact, _ = shapley_exact(g)
             perms = sample_permutations(n, m, np.random.default_rng(10_000 + seed))
             mc, _ = shapley_mc(g, perms)
@@ -155,10 +155,8 @@ def test_c03_normalization_arithmetic():
 
 
 def test_c04_synergy_index_arithmetic():
-    interference = game(
-        2, {(): 0.0, (0,): 0.0, (1,): 8.333, (0, 1): 0.0}
-    )
-    plain = game(2, {(): 0.0, (0,): 2.0, (1,): 3.0, (0, 1): 10.0})
+    interference = game({(): 0.0, (0,): 0.0, (1,): 8.333, (0, 1): 0.0})
+    plain = game({(): 0.0, (0,): 2.0, (1,): 3.0, (0, 1): 10.0})
     si_neg = synergy_index(interference)
     si_pos = synergy_index(plain)
     verdict(
@@ -182,8 +180,9 @@ def test_c05_skill_gap_detection():
         )
         values = CoalitionValues(engine, n_episodes=25)
         values.precompute()
+        v = {S: y[:, 0] for S, y in values.table.items()}
         perms = sample_permutations(2, default_permutations(2), tree.stream("perm"))
-        phi, phi_pe = shapley_mc(values, perms)
+        phi, phi_pe = shapley_mc(v, perms)
         indices = bootstrap_indices(25, 100, tree.stream("bootstrap"))
         boot = bootstrap_ci(phi_pe, indices, alpha=0.05)
         diff, p = compare_agents(phi, boot.samples, 1, 0)
@@ -212,7 +211,7 @@ def test_c06_emergence_sign_regimes():
             policies=default_policies(env.n_agents),
         )
         values = CoalitionValues(engine, n_episodes=100).precompute()
-        return synergy_index(values)
+        return synergy_index({S: y[:, 0] for S, y in values.table.items()})
 
     bonus = si_for("gridworld", {"team_bonus": 50.0})
     pursuit = si_for("predatorprey", {"collision_penalty": 4.0})
@@ -246,14 +245,16 @@ def test_c07_synergy_matches_brute_force():
         act_u = np.empty((T, 2, 2))
         for j in range(2):
             act_u[:, j, :] = tree.stream("act", e, j, agent_reps[j]).random((T, 2))
-        env_u = env.env_draws(tree.stream("env", e, env_rep), T)
+        env_u = np.zeros((T, 2, 2))
+        if env.uses_env_uniforms:
+            env_u = tree.stream("env", e, env_rep).random((T, 2, 2))
         kinds = np.array([0 if j in skilled else 1 for j in range(2)], np.int64)
         alphas = np.array(
             [alphas_full[j] if j in skilled else 0.0 for j in range(2)]
         )
         consts = np.zeros(2, dtype=np.int64)
-        _, _, _, team, length = env.rollout(
-            s0, T, kinds, alphas, consts, act_u, env_u
+        _, _, _, team, length = rollout_one(
+            env, s0, kinds, alphas, consts, act_u, env_u
         )
         return float(np.sum(team[:length]))
 

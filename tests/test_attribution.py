@@ -1,10 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from macie.attribution import (
     EXACT_SHAPLEY_LIMIT,
     CoalitionValues,
-    GameValues,
     agent_ranks,
     bootstrap_ci,
     bootstrap_indices,
@@ -16,10 +17,11 @@ from macie.attribution import (
     rank_agents,
     run_interventions,
     sample_permutations,
+    shapley_coalitions,
     shapley_exact,
     shapley_mc,
 )
-from macie.collective import synergy_matrix
+from macie.collective import emergence_coalitions, synergy_index, synergy_matrix
 from macie.core import (
     ConfigError,
     MacieError,
@@ -42,12 +44,17 @@ def make_engine(seed=42, env_name="gridworld"):
     )
 
 
+def game(n, value):
+    """The one-episode coalition game ``{S: [value(S)]}`` over n agents."""
+    return {S: np.array([float(value(S))]) for S in shapley_coalitions(n)}
+
+
 def random_game(n, rng):
     table = {(): 0.0}
     for mask in range(1, 1 << n):
         members = tuple(j for j in range(n) if mask >> j & 1)
         table[members] = float(rng.normal())
-    return GameValues(n, lambda members: table[members])
+    return game(n, table.__getitem__)
 
 
 # -- exact Shapley on hand-checked games ------------------------------------------
@@ -57,7 +64,7 @@ def test_two_player_game_by_hand():
     # v(0)=1, v(1)=2, v(01)=4: each player gets its solo value plus half
     # the leftover surplus of 1
     table = {(): 0.0, (0,): 1.0, (1,): 2.0, (0, 1): 4.0}
-    phi, phi_pe = shapley_exact(GameValues(2, lambda m: table[m]))
+    phi, phi_pe = shapley_exact(game(2, table.__getitem__))
     assert phi == pytest.approx([1.5, 2.5], abs=1e-12)
     assert phi_pe.shape == (2, 1)
 
@@ -70,18 +77,18 @@ def test_glove_game_by_hand():
         right = sum(1 for m in members if m == 2)
         return float(min(left, right))
 
-    phi, _ = shapley_exact(GameValues(3, v))
+    phi, _ = shapley_exact(game(3, v))
     assert phi == pytest.approx([1 / 6, 1 / 6, 2 / 3], abs=1e-12)
 
 
 def test_unanimity_game_splits_evenly():
-    phi, _ = shapley_exact(GameValues(4, lambda m: 1.0 if len(m) == 4 else 0.0))
+    phi, _ = shapley_exact(game(4, lambda m: 1.0 if len(m) == 4 else 0.0))
     assert phi == pytest.approx([0.25] * 4, abs=1e-12)
 
 
 def test_additive_game_returns_solo_values():
     solo = np.array([3.0, -1.0, 0.5])
-    phi, _ = shapley_exact(GameValues(3, lambda m: float(sum(solo[list(m)]))))
+    phi, _ = shapley_exact(game(3, lambda m: float(sum(solo[list(m)]))))
     assert phi == pytest.approx(solo, abs=1e-12)
 
 
@@ -91,12 +98,12 @@ def test_additive_game_returns_solo_values():
 def test_efficiency_on_random_games():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        game = random_game(4, rng)
-        phi, _ = shapley_exact(game)
+        v = random_game(4, rng)
+        phi, _ = shapley_exact(v)
         assert np.sum(phi) == pytest.approx(
-            game.value((0, 1, 2, 3)) - game.value(()), abs=1e-9
+            v[(0, 1, 2, 3)][0] - v[()][0], abs=1e-9
         )
-        gap, rel = efficiency_gap(phi, game)
+        gap, rel = efficiency_gap(phi, v)
         assert gap < 1e-9
         assert rel < 1e-9
 
@@ -108,7 +115,7 @@ def test_symmetry_axiom():
         bonus = 2.0 if 2 in members else 0.0
         return k * k + bonus
 
-    phi, _ = shapley_exact(GameValues(3, v))
+    phi, _ = shapley_exact(game(3, v))
     assert phi[0] == pytest.approx(phi[1], abs=1e-12)
 
 
@@ -118,7 +125,7 @@ def test_null_player_axiom():
         active = tuple(m for m in members if m != 2)
         return float(len(active) * 1.7)
 
-    phi, _ = shapley_exact(GameValues(3, v))
+    phi, _ = shapley_exact(game(3, v))
     assert phi[2] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -126,7 +133,7 @@ def test_additivity_axiom():
     rng = np.random.default_rng(1)
     a = random_game(3, rng)
     b = random_game(3, rng)
-    combined = GameValues(3, lambda m: a.value(m) + b.value(m))
+    combined = {S: a[S] + b[S] for S in a}
     phi_a, _ = shapley_exact(a)
     phi_b, _ = shapley_exact(b)
     phi_ab, _ = shapley_exact(combined)
@@ -135,7 +142,7 @@ def test_additivity_axiom():
 
 def test_exact_shapley_size_cap():
     with pytest.raises(ConfigError, match="shapley_mc"):
-        shapley_exact(GameValues(EXACT_SHAPLEY_LIMIT + 1, lambda m: 0.0))
+        shapley_exact({(): 0.0, tuple(range(EXACT_SHAPLEY_LIMIT + 1)): 0.0})
 
 
 # -- Monte Carlo Shapley -----------------------------------------------------------
@@ -145,42 +152,28 @@ def test_full_permutation_blocks_reproduce_exact_values():
     # with whole blocks of all n! orderings the MC average is the exact
     # Shapley value, not an estimate
     rng = np.random.default_rng(3)
-    game = random_game(3, np.random.default_rng(7))
-    exact, _ = shapley_exact(game)
+    v = random_game(3, np.random.default_rng(7))
+    exact, _ = shapley_exact(v)
     perms = sample_permutations(3, 12, rng)
-    mc, mc_pe = shapley_mc(game, perms)
+    mc, mc_pe = shapley_mc(v, perms)
     assert mc == pytest.approx(exact, abs=1e-12)
     assert mc_pe.shape == (3, 1)
 
 
 def test_mc_estimate_converges():
-    game = random_game(4, np.random.default_rng(9))
-    exact, _ = shapley_exact(game)
+    v = random_game(4, np.random.default_rng(9))
+    exact, _ = shapley_exact(v)
     perms = sample_permutations(4, 480, np.random.default_rng(5))
-    mc, _ = shapley_mc(game, perms)
+    mc, _ = shapley_mc(v, perms)
     assert mc == pytest.approx(exact, abs=1e-6)
 
 
 def test_mc_is_deterministic_given_the_schedule():
-    game = random_game(3, np.random.default_rng(2))
+    v = random_game(3, np.random.default_rng(2))
     perms = sample_permutations(3, 10, np.random.default_rng(4))
-    first, _ = shapley_mc(game, perms)
-    second, _ = shapley_mc(game, perms)
+    first, _ = shapley_mc(v, perms)
+    second, _ = shapley_mc(v, perms)
     assert np.array_equal(first, second)
-
-
-def test_game_values_cache_coalition_lookups():
-    calls = []
-
-    def v(members):
-        calls.append(members)
-        return float(len(members))
-
-    game = GameValues(3, v)
-    game.value((0, 1))
-    game.value((1, 0))
-    game.per_episode((0, 1))
-    assert calls == [(0, 1)]
 
 
 # -- engine-backed coalition values -------------------------------------------------
@@ -192,19 +185,18 @@ def test_coalition_values_match_engine_and_precompute():
     assert values.n_agents == 2
     assert values.n_episodes == 3
     values.replay({(0,): 1})
-    pe = values.per_episode((0,))
+    pe = values.table[(0,)][:, 0]
     assert pe.shape == (3,)
     assert pe[1] == eng.coalition_outcome(1, (0,))
-    assert values.value((0,)) == pytest.approx(pe.mean())
 
     pre = CoalitionValues(make_engine(seed=6), 3).precompute()
     for members in [(), (0,), (1,), (0, 1)]:
         one = CoalitionValues(make_engine(seed=6), 3)
         one.replay({members: 1})
         alone, _ = make_engine(seed=6).replay(range(3), {members: 1})
-        expect = alone[members][:, 0]
-        assert one.per_episode(members).tobytes() == expect.tobytes()
-        assert pre.per_episode(members).tobytes() == expect.tobytes()
+        expect = alone[members].tobytes()
+        assert one.table[members].tobytes() == expect
+        assert pre.table[members].tobytes() == expect
 
 
 def test_precomputed_coalition_values_need_no_replay(monkeypatch):
@@ -215,15 +207,33 @@ def test_precomputed_coalition_values_need_no_replay(monkeypatch):
         raise AssertionError("coalition values replayed after precompute")
 
     monkeypatch.setattr(eng, "_replay", blocked)
-    assert values.per_episode((1, 0)).shape == (3,)
-    phi, _ = shapley_exact(values)
-    assert synergy_matrix(values, phi).shape == (2, 2)
+    v = {S: y[:, 0] for S, y in values.table.items()}
+    phi, _ = shapley_exact(v)
+    assert synergy_matrix(v, phi).shape == (2, 2)
 
-    # a coalition missing from the table is an error, not a replay
-    monkeypatch.setattr(eng, "_replay_outcomes", blocked)
-    values = CoalitionValues(eng, n_episodes=3)
-    with pytest.raises(MacieError, match=r"coalition \(0,\) was not replayed"):
-        values.per_episode((0,))
+
+# -- read sets -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_each_statistic_reads_exactly_its_read_set(n):
+    # a run replays the declared read sets up front and nothing later, so
+    # each statistic must need every coalition it declares and no other
+    perms = sample_permutations(n, 3, np.random.default_rng(n))
+    phi = np.zeros(n)
+    for reads, statistic in [
+        (shapley_coalitions(n), shapley_exact),
+        (shapley_coalitions(n, perms), lambda v: shapley_mc(v, perms)),
+        # the emergence metrics read both synergy statistics
+        (emergence_coalitions(n),
+         lambda v: (synergy_index(v), synergy_matrix(v, phi))),
+        ([tuple(range(n)), ()], lambda v: efficiency_gap(phi, v)),
+    ]:
+        v = {S: np.array([1.0 + len(S)]) for S in reads}
+        statistic(v)
+        for S in v:
+            with pytest.raises(KeyError, match=re.escape(repr(S))):
+                statistic({T: y for T, y in v.items() if T != S})
 
 
 # -- naive effects -----------------------------------------------------------------

@@ -194,6 +194,19 @@ def test_malformed_log_names_the_line(tmp_path, capsys, line, corrupt):
     assert f"{path}, line {line + text.count(chr(10))}:" in err
 
 
+def test_ingest_refuses_an_action_index_past_the_transitions(tmp_path, capsys):
+    # a log's actions size the model: one regression per action value, so
+    # an index of 2000 in 114 pooled transitions would fit 2001 per agent
+    path = tmp_path / "episodes.log"
+    lines = _gridworld_log(path, episodes=12)
+    lines[3] = _edit_field(2, lambda v: ["2000"] + v[1:])(lines[3])
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["ingest", "--log", str(path)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "action index 2000 is not below the 114 pooled transitions" in err
+
+
 def test_explain_rejects_malformed_reports(tmp_path, capsys):
     not_json = tmp_path / "truncated.json"
     for content in [
@@ -242,6 +255,8 @@ def test_explain_rejects_malformed_reports(tmp_path, capsys):
         (lambda r: r["ci"].update(alpha=5), "ci.alpha is not in (0, 1)"),
         (lambda r: r["ci"].update(alpha=0.0), "ci.alpha is not in (0, 1)"),
         (lambda r: r["config"].update(alpha=-1), "config.alpha is not in (0, 1)"),
+        (lambda r: r["ci"].update(alpha=0.5),
+         "ci.alpha differs from config.alpha"),
         (lambda r: r["config"].update(tau_si=float("nan")),
          "config.tau_si holds a non-finite number"),
         (lambda r: r.update(y_fact=float("inf")), "y_fact holds a non-finite number"),

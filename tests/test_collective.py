@@ -3,7 +3,6 @@ import pytest
 
 from macie.attribution import (
     CoalitionValues,
-    GameValues,
     effects_from_interventions,
     run_interventions,
 )
@@ -26,8 +25,9 @@ from macie.rng import SeedTree
 from helpers import action_history, full_history
 
 
-def game_from_table(n, table):
-    return GameValues(n, lambda members: table[members])
+def game_from_table(table):
+    """The one-episode coalition game ``{S: [table[S]]}``."""
+    return {S: np.array([table[S]]) for S in table}
 
 
 def history_from_actions(action_rows, states=None):
@@ -45,13 +45,13 @@ def history_from_actions(action_rows, states=None):
 
 def test_synergy_matrix_two_agents_by_hand():
     table = {(): 0.0, (0,): 4.0, (1,): 6.0, (0, 1): 10.0}
-    sigma = synergy_matrix(game_from_table(2, table), phi=[4.0, 6.0])
+    sigma = synergy_matrix(game_from_table(table), phi=[4.0, 6.0])
     assert sigma.shape == (2, 2)
     assert sigma[0, 0] == 0.0 and sigma[1, 1] == 0.0
     assert sigma[0, 1] == pytest.approx(0.0, abs=1e-12)
     assert sigma[0, 1] == sigma[1, 0]
 
-    sigma = synergy_matrix(game_from_table(2, table), phi=[3.0, 4.0])
+    sigma = synergy_matrix(game_from_table(table), phi=[3.0, 4.0])
     assert sigma[0, 1] == pytest.approx(3.0)
 
 
@@ -67,7 +67,7 @@ def test_synergy_matrix_three_agents_drops_the_pair():
         (0, 1, 2): 12.0,
     }
     phi = [1.0, 2.0, 3.0]
-    sigma = synergy_matrix(game_from_table(3, table), phi)
+    sigma = synergy_matrix(game_from_table(table), phi)
     # v(all) - v({2}) - phi_0 - phi_1 = 12 - 5 - 1 - 2
     assert sigma[0, 1] == pytest.approx(4.0)
     # v(all) - v({1}) - phi_0 - phi_2 = 12 - 1 - 1 - 3
@@ -78,7 +78,7 @@ def test_synergy_matrix_three_agents_drops_the_pair():
 def test_synergy_matrix_checks_phi_length():
     table = {(): 0.0, (0,): 1.0, (1,): 1.0, (0, 1): 2.0}
     with pytest.raises(ConfigError, match="expected 2 attributions"):
-        synergy_matrix(game_from_table(2, table), phi=[1.0, 1.0, 1.0])
+        synergy_matrix(game_from_table(table), phi=[1.0, 1.0, 1.0])
 
 
 # -- synergy index ------------------------------------------------------------------
@@ -87,22 +87,22 @@ def test_synergy_matrix_checks_phi_length():
 def test_synergy_index_hand_values():
     table = {(): 0.0, (0,): 2.0, (1,): 3.0, (0, 1): 10.0}
     # (10 - 5) / 10
-    assert synergy_index(game_from_table(2, table)) == pytest.approx(0.5)
+    assert synergy_index(game_from_table(table)) == pytest.approx(0.5)
 
     table = {(): 0.0, (0,): 0.0, (1,): 8.333, (0, 1): 0.0}
-    assert synergy_index(game_from_table(2, table)) == pytest.approx(-1.0, abs=1e-6)
+    assert synergy_index(game_from_table(table)) == pytest.approx(-1.0, abs=1e-6)
 
     table = {(): 0.0, (0,): 2.5, (1,): 2.5, (0, 1): 5.0}
-    assert synergy_index(game_from_table(2, table)) == pytest.approx(0.0)
+    assert synergy_index(game_from_table(table)) == pytest.approx(0.0)
 
 
 def test_synergy_index_bounds_and_degenerate_case():
     # opposite signs of equal size hit the bound exactly
     table = {(): 0.0, (0,): -2.0, (1,): -3.0, (0, 1): 5.0}
-    assert synergy_index(game_from_table(2, table)) == 2.0
+    assert synergy_index(game_from_table(table)) == 2.0
 
     table = {(): 0.0, (0,): 0.0, (1,): 0.0, (0, 1): 0.0}
-    assert synergy_index(game_from_table(2, table)) == 0.0
+    assert synergy_index(game_from_table(table)) == 0.0
 
 
 # -- coordination -------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_emergence_metrics_bundles_the_parts():
         (1, 2): 2.0,
         (0, 1, 2): 9.0,
     }
-    game = game_from_table(3, table)
+    game = game_from_table(table)
     phi = [3.0, 3.0, 3.0]
     m = emergence_metrics(hist, game, phi)
     assert isinstance(m, EmergenceMetrics)
@@ -234,6 +234,7 @@ def test_additive_environment_shows_no_synergy():
     )
     eff = effects_from_interventions(eng, run_interventions(eng, 20, 5))
     values = CoalitionValues(eng, n_episodes=20).precompute()
-    sigma = synergy_matrix(values, eff.phi)
+    v = {S: y[:, 0] for S, y in values.table.items()}
+    sigma = synergy_matrix(v, eff.phi)
     assert abs(sigma[0, 1]) < 0.1
-    assert abs(synergy_index(values)) < 0.1
+    assert abs(synergy_index(v)) < 0.1

@@ -16,22 +16,15 @@ from macie import (
 from macie.envs import GridWorld, GridWorldConfig, kernels
 from macie.policies import BaselinePolicy
 
-from helpers import step
+from helpers import rollout_one, step
 
 
 def rollout(env, state0, horizon, kinds, alphas, seed=0):
     rng = np.random.default_rng(seed)
     act_u = rng.random((horizon, env.n_agents, 2))
-    env_u = env.env_draws(rng, horizon)
-    return env.rollout(
-        np.asarray(state0, dtype=np.float64),
-        horizon,
-        np.asarray(kinds, dtype=np.int64),
-        np.asarray(alphas, dtype=np.float64),
-        np.zeros(env.n_agents, dtype=np.int64),
-        act_u,
-        env_u,
-    )
+    env_u = rng.random(act_u.shape) if env.uses_env_uniforms else np.zeros_like(act_u)
+    consts = np.zeros(env.n_agents, dtype=np.int64)
+    return rollout_one(env, state0, kinds, alphas, consts, act_u, env_u)
 
 
 def test_registry_lists_the_builtin_environments():
@@ -101,8 +94,8 @@ def test_mixed_batch_matches_each_row_alone(name):
     if name in ("gridworld", "predatorprey"):
         assert (length < T).any() and (length == T).any()
     for b in range(B):
-        alone = env.rollout(
-            S0[b], T, kinds[b], alphas[b], consts[b], act_u[b], env_u[b]
+        alone = rollout_one(
+            env, S0[b], kinds[b], alphas[b], consts[b], act_u[b], env_u[b]
         )
         for x, y in zip(batch, alone):
             assert np.array_equal(x[b], y)
@@ -307,8 +300,8 @@ def test_lone_pursuer_never_captures_an_evading_prey():
             if (px, py) in ((0, 0), (6, 6)):
                 continue
             s0 = np.array([0.0, 0.0, 6.0, 6.0, float(px), float(py)])
-            _, _, _, team, length = env.rollout(
-                s0, horizon, kinds, alphas, consts, act_u, env_u
+            _, _, _, team, length = rollout_one(
+                env, s0, kinds, alphas, consts, act_u, env_u
             )
             assert length == horizon
             assert not (team > 5).any()
@@ -348,7 +341,7 @@ def test_traffic_service_caps_departures():
 def test_traffic_needs_env_randomness():
     # arrivals come from the environment uniforms, whatever the actions
     env = make_env("traffic")
-    assert env.uses_env_draws
+    assert env.uses_env_uniforms
     acts = np.zeros((1, 3), dtype=np.int64)
     every, none = np.zeros((1, 6)), np.zeros((1, 6))
     env.transition(every, acts, np.zeros((1, 3, 2)))
@@ -364,9 +357,9 @@ def test_additive_rewards_ignore_the_other_agent():
     act_a = rng.random((env.horizon, 2, 2))
     act_b = act_a.copy()
     act_b[:, 1, :] = rng.random((env.horizon, 2))
-    run = lambda u: env.rollout(
+    run = lambda u: rollout_one(
+        env,
         s0,
-        env.horizon,
         np.array([1, 1], dtype=np.int64),
         np.zeros(2),
         np.zeros(2, dtype=np.int64),

@@ -406,19 +406,28 @@ def test_counterfactual_stage_is_one_row_set(monkeypatch, overrides):
         stage2.append(True)
         return out
 
-    def recording(self, members):
-        reads.add(tuple(sorted(set(members))))
-        return per_episode(self, members)
+    class Recording(dict):
+        def __getitem__(self, members):
+            reads.add(members)
+            return super().__getitem__(members)
+
+    def recording(statistic):
+        # the coalition game reaches each statistic as its dict argument
+        def read(*args):
+            args = [Recording(a) if isinstance(a, dict) else a for a in args]
+            return statistic(*args)
+
+        return read
 
     rollout = macie.envs.kernels.rollout
     replay, replay_outcomes = engine.replay, engine._replay_outcomes
-    per_episode = CoalitionValues.per_episode
     # the one step loop, through the simulator or the fitted model
     monkeypatch.setattr(macie.envs.kernels, "rollout", counting_rollout)
     monkeypatch.setattr(engine, "replay", counting_replay)
     monkeypatch.setattr(engine, "_replay_outcomes", blocked_after_stage2)
     monkeypatch.setattr(macie.report, "run_interventions", stage2_then_block)
-    monkeypatch.setattr(CoalitionValues, "per_episode", recording)
+    for name in ("emergence_metrics", "shapley_exact", "shapley_mc", "efficiency_gap"):
+        monkeypatch.setattr(macie.report, name, recording(getattr(macie.report, name)))
     report = run_pipeline(RunConfig(**overrides))
 
     n, E, K = report["n_agents"], report["n_episodes"], report["config"]["k"]
@@ -477,7 +486,7 @@ def test_one_row_set_equals_separate_replays(monkeypatch):
         # every coalition value was kept from the row set
         with monkeypatch.context() as m:
             m.setattr(values.engine, "_replay_outcomes", blocked)
-            table = {S: values.per_episode(S) for S in every}
+            table = {S: values.table[S][:, 0] for S in every}
         for i in range(3):
             S = leave_one_out(3, i)
             alone_y, alone_traces = engine().replay(range(E), {S: K}, traced=[S])
