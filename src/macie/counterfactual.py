@@ -41,14 +41,15 @@ ends where the model's ``done`` node ends it. Both modes read outcomes and
 traces off the replayed rewards and lengths alike. A row reads only its
 own streams, so the split into batches never changes a result.
 
-Each stream is derived once per run. What several rows read (an episode's
-start, its replicate-0 action uniforms and its environment uniforms per
-replicate) is derived in one call for the keys a batch first needs and
-gathered into the batch by indexing. The engine keeps the replicate-0
-draws; the environment's later replicates live only while one row set
-replays. A later replicate of one agent's actions, which only its own
-replay reads, is drawn for the whole batch in one call of
-:func:`macie.rng.uniform_streams`.
+Each stream is derived once per run. Beside its history the engine keeps
+only the replicate-0 uniforms that the factual run shares with every
+replay, as ``[E, T, n, 2]`` arrays: the actions', and the environment's
+where the simulator reads them. They grow with the factual run, one call
+of :func:`macie.rng.uniform_streams` each, and only that run derives the
+``reset`` streams, since a replay starts from the history's first state.
+The environment's later replicates are drawn once per row set, in one call
+for its distinct (episode, replicate) keys; an agent's later replicates,
+which only its own row reads, are drawn for each batch in one call.
 """
 
 from __future__ import annotations
@@ -126,13 +127,12 @@ class CounterfactualEngine:
         self.scm = scm
         self.baseline = baseline
         self.epsilon_frac = epsilon_frac
-        # draws several rows read, by stream key: episode -> start state,
-        # episode -> replicate-0 action uniforms [T, n, 2],
-        # (episode, replicate) -> environment uniforms [T, n, 2], the
-        # replicates above 0 only while one row set replays
-        self._starts: dict[tuple, np.ndarray] = {}
-        self._act0: dict[tuple, np.ndarray] = {}
-        self._env_u: dict[tuple, np.ndarray] = {}
+        # the replicate-0 uniforms [E, T, n, 2] of the episodes the history
+        # holds, which the factual run shares with every replay: the
+        # actions', and the environment's where the simulator reads them
+        T, n = self.horizon, self.n_agents
+        self._act_draws = np.empty((0, T, n, 2))
+        self._env_draws = np.empty((0, T, n, 2))
 
     # -- basic dimensions ----------------------------------------------------
 
@@ -155,18 +155,29 @@ class CounterfactualEngine:
 
         An engine with a simulator keeps what it simulates as its history;
         asked for an episode it has not simulated, it simulates episodes
-        0..max as one batch.
+        0..max as one batch. The replicate-0 draws grow to 0..max with it.
         """
         episodes = list(episodes)
-        held = 0 if self.history is None else len(self.history)
-        if self.env is not None and max(episodes) >= held:
+        T, n = self.horizon, self.n_agents
+        new = np.arange(len(self._act_draws), max(episodes) + 1)
+        if len(new):
+            keys = [(e, j, 0) for e in new for j in range(n)]
+            u = self.tree.uniforms("act", keys, 2 * T)
+            u = u.reshape(-1, n, T, 2).transpose(0, 2, 1, 3)
+            self._act_draws = np.concatenate([self._act_draws, u])
+        if self.env is not None and len(new):
+            if self.env.uses_env_uniforms:
+                keys = [(e, 0) for e in new]
+                u = self.tree.uniforms("env", keys, T * n * 2).reshape(-1, T, n, 2)
+                self._env_draws = np.concatenate([self._env_draws, u])
+            S0 = [] if self.history is None else [*self.history.states[:, 0]]
+            S0 += [self.env.initial_state(self.tree.stream("reset", e)) for e in new]
             # the factual run is the rows (N, e, 0), replayed whole
-            grand = {tuple(range(self.n_agents)): 1}
-            rows = self._rows(np.arange(max(episodes) + 1), grand)
+            rows = self._rows(np.arange(new[-1] + 1), {tuple(range(n)): 1})[:3]
             self.history = History(
                 self.env.name,
                 list(self.env.feature_names),
-                *self._replay(self.env, *rows),
+                *self._replay(self.env, np.array(S0), *rows, self._env_draws),
             )
         return self.history.take(episodes)
 
@@ -179,102 +190,78 @@ class CounterfactualEngine:
 
     # -- simulation --------------------------------------------------------------
 
-    def _gather(self, cache, keys, derive):
-        """``cache[key]`` stacked for each row of ``keys[B, m]``.
+    def _replay(self, world, S0, episodes, baseline, reps, env_u, trajectory=True):
+        """Simulate rows: episode ``episodes[b]`` from ``S0[b]`` with
+        ``baseline[b, j]`` swapped.
 
-        Keys not yet cached are derived together, ``derive(missing[M, m])``
-        giving their ``M`` values, and kept.
+        ``world`` is the simulator or the fitted structural model. Agents
+        marked in ``baseline[B, n]`` play the baseline policy, the others
+        their factual policy, which in the model is its action node. Agent
+        ``j`` draws from its replicate ``reps[b, j]``: replicate 0 is read
+        off the kept draws, and the later ones of the batch are drawn in one
+        call. A world that reads environment uniforms reads ``env_u[B, T, n,
+        2]``. Returns the batched rollout, only ``(team, length)`` without
+        ``trajectory``.
         """
-        first = {}
-        inverse = [first.setdefault(k, len(first)) for k in map(tuple, keys.tolist())]
-        missing = [k for k in first if k not in cache]
-        if missing:
-            cache.update(zip(missing, derive(np.array(missing, dtype=np.int64))))
-        return np.stack([cache[k] for k in first])[inverse]
-
-    def _act_uniforms(self, episodes, reps):
-        """Action uniforms ``[B, T, n, 2]``: agent ``j`` of row ``b`` at ``reps[b, j]``.
-
-        Replicate 0, which the factual run and most replays read, is kept per
-        episode; the later replicates of a batch are drawn in one call.
-        """
-        T, n = self.horizon, self.n_agents
-
-        def replicate0(keys):
-            streams = [(e, j, 0) for e in keys[:, 0] for j in range(n)]
-            u = self.tree.uniforms("act", streams, 2 * T)
-            return u.reshape(len(keys), n, T, 2).transpose(0, 2, 1, 3)
-
-        act_u = self._gather(self._act0, episodes[:, None], replicate0)
+        T, n, B = self.horizon, self.n_agents, len(episodes)
+        act_u = self._act_draws[episodes]
         rows, agents = np.nonzero(reps)
         if len(rows):
             streams = np.stack([episodes[rows], agents, reps[rows, agents]], axis=1)
             u = self.tree.uniforms("act", streams, 2 * T)
             act_u[rows, :, agents] = u.reshape(-1, T, 2)
-        return act_u
-
-    def _replay(self, world, episodes, baseline, reps, env_rep, trajectory=True):
-        """Simulate rows: episode ``episodes[b]`` with ``baseline[b, j]`` swapped.
-
-        ``world`` is the simulator or the fitted structural model. Agents
-        marked in ``baseline[B, n]`` play the baseline policy, the others
-        their factual policy, which in the model is its action node; agent
-        ``j`` draws from its replicate ``reps[b, j]`` and the environment
-        from ``env_rep[b]``. A row starts from its episode's start state, or
-        in the model from the factual first state and first joint action.
-        Returns the batched rollout, only ``(team, length)`` without
-        ``trajectory``.
-        """
-        T, n, B = self.horizon, self.n_agents, len(episodes)
-
-        def starts(keys):
-            return [world.initial_state(self.tree.stream("reset", e)) for e in keys[:, 0]]
-
-        def env_uniforms(keys):
-            return self.tree.uniforms("env", keys, T * n * 2).reshape(-1, T, n, 2)
-
-        if world is self.env:
-            S0 = self._gather(self._starts, episodes[:, None], starts)
-            factual = policy_arrays(self.policies)
-        else:
-            self.factuals([episodes.max()])  # the history then holds every row's episode
-            first = self.history.states[episodes, 0], self.history.actions[episodes, 0]
-            S0 = np.concatenate(first, axis=1)
-            factual = policy_arrays([SkillPolicy(1.0)] * n)
-        act_u = self._act_uniforms(episodes, reps)
-        if world.uses_env_uniforms:
-            keys = np.stack([episodes, env_rep], axis=1)
-            env_u = self._gather(self._env_u, keys, env_uniforms)
-        else:
+        if not world.uses_env_uniforms:
             env_u = np.broadcast_to(0.0, (B, T, n, 2))
+        factual = self.policies if world is self.env else [SkillPolicy(1.0)] * n
         swap = policy_arrays([self.baseline] * n)
         kinds, alphas, consts = (
-            np.where(baseline, s, f) for f, s in zip(factual, swap)
+            np.where(baseline, s, f) for f, s in zip(policy_arrays(factual), swap)
         )
         return kernels.rollout(
             world, S0, kinds, alphas, consts, act_u, env_u, trajectory=trajectory
         )
 
     def _replay_outcomes(self, rows, traced):
-        """``(traces[traced, T], outcomes[B])`` of replayed ``rows``.
+        """``(traces[traced, T], outcomes[B])`` of the replay ``rows``.
 
-        ``rows`` holds the arguments of :meth:`_replay` over B rows, and only
-        the first ``traced`` rows get a trace. The rows run in
+        ``rows`` is ``(episodes, baseline, reps, env_rep)`` over B rows, as
+        :meth:`_rows` gives them, and only the first ``traced`` rows get a
+        trace. A row starts from its episode's factual first state, and in
+        the model from its first joint action too. The rows run in
         ceil(B / ``REPLAY_CHUNK``) batches whose sizes differ by one at most.
         """
         world = self.env if self.mode == "env_resim" else self._model()
-        B = len(rows[0])
+        episodes, baseline, reps, env_rep = rows
+        T, n, B = self.horizon, self.n_agents, len(episodes)
+        self.factuals([episodes.max()])  # the history then holds every row's episode
+        S0 = self.history.states[:, 0]
+        if world is not self.env:
+            S0 = np.concatenate([S0, self.history.actions[:, 0]], axis=1)
+        env_u = None
+        if world.uses_env_uniforms:
+            # each (episode, replicate) key once: replicate 0 is kept, and the
+            # later ones are drawn for this row set alone
+            keys, inverse = np.unique(
+                np.stack([episodes, env_rep], axis=1), axis=0, return_inverse=True
+            )
+            inverse = inverse.ravel()  # numpy 2.0.0 shapes it [B, 1]
+            table = self._env_draws[keys[:, 0]]
+            later = keys[:, 1] > 0
+            u = self.tree.uniforms("env", keys[later], T * n * 2)
+            table[later] = u.reshape(-1, T, n, 2)
         n_batches = -(-B // REPLAY_CHUNK)
         bounds = [B * i // n_batches for i in range(n_batches + 1)]
         traces, outcomes = [], []
         for lo, hi in zip(bounds, bounds[1:]):
-            batch = [a[lo:hi] for a in rows]
+            e = episodes[lo:hi]
+            if world.uses_env_uniforms:
+                env_u = table[inverse[lo:hi]]
             m = min(max(traced - lo, 0), hi - lo)
-            team, length = self._replay(world, *batch, trajectory=False)
+            team, length = self._replay(
+                world, S0[e], e, baseline[lo:hi], reps[lo:hi], env_u, trajectory=False
+            )
             traces.append(rewards_trace(team[:m], length[:m], self.outcome))
             outcomes.append(rewards_outcome(team, length, self.outcome))
-        # only the rows of one set read an environment replicate above 0
-        self._env_u = {key: u for key, u in self._env_u.items() if key[1] == 0}
         return np.concatenate(traces), np.concatenate(outcomes)
 
     def _model(self):

@@ -237,6 +237,14 @@ def _setup(config, history):
             raise ConfigError(
                 "ingested histories have no simulator; use mode scm_rollout"
             )
+        ignored = [
+            name for name in ("alphas", "env_config", "horizon")
+            if getattr(config, name) not in (None, {})
+        ]
+        if ignored:
+            raise ConfigError(
+                f"ingested histories take no simulator settings: {', '.join(ignored)}"
+            )
         episodes = config.episodes or len(history)
         if episodes > len(history):
             raise ConfigError(

@@ -207,6 +207,29 @@ def test_ingest_refuses_an_action_index_past_the_transitions(tmp_path, capsys):
     assert "action index 2000 is not below the 114 pooled transitions" in err
 
 
+@pytest.mark.parametrize(
+    "config,named",
+    [
+        ({"policy.alpha.0": 0.9, "env.width": 9, "horizon": 5},
+         "alphas, env_config, horizon"),
+        ({"env.width": 9}, "env_config"),
+        ({"horizon": 5}, "horizon"),
+    ],
+    ids=["all", "env_config", "horizon"],
+)
+def test_ingest_refuses_simulator_settings(tmp_path, capsys, config, named):
+    # a log's policies, environment and horizon are the log's own, so a
+    # setting for them would only be listed in the report, unused
+    path = tmp_path / "episodes.log"
+    _gridworld_log(path, episodes=12)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["ingest", "--log", str(path), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.endswith(f"ingested histories take no simulator settings: {named}")
+
+
 def test_explain_rejects_malformed_reports(tmp_path, capsys):
     not_json = tmp_path / "truncated.json"
     for content in [

@@ -192,7 +192,8 @@ def test_intervention_shapes():
 )
 def test_intervention_batch_matches_single_episodes(env_name, mode):
     # one replay batch over episodes gives each episode the replays it gets
-    # on a fresh engine alone
+    # on a fresh engine alone, and on one engine whose factual run and kept
+    # draws grow by an episode at each call
     scm = None
     if mode == "scm_rollout":
         hist = make_engine(seed=4, env_name=env_name).generate_history(12)
@@ -207,10 +208,13 @@ def test_intervention_batch_matches_single_episodes(env_name, mode):
 
     S = leave_one_out(make_env(env_name).n_agents, 1)
     y, traces = engine().replay(range(5), {S: 3}, traced=[S])
+    shared = engine()
     for e in range(5):
-        alone_y, alone_traces = engine().intervene_and_rollout(e, 1, 3)
-        assert np.array_equal(y[S][e], alone_y)
-        assert np.array_equal(traces[S][e], alone_traces)
+        for eng in (engine(), shared):
+            alone_y, alone_traces = eng.intervene_and_rollout(e, 1, 3)
+            assert y[S][e].tobytes() == alone_y.tobytes()
+            assert traces[S][e].tobytes() == alone_traces.tobytes()
+        assert len(shared.history) == len(shared._act_draws) == e + 1
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -344,16 +344,33 @@ def test_scm_reports_match_golden_digests(tmp_path, case):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides,chunk",
     [
-        dict(env="traffic", method="shapley_exact"),
-        dict(env="gridworld", mode="scm_rollout", model="linear"),
+        pytest.param(
+            dict(env="traffic", method="shapley_exact"), None, id="traffic_env_resim"
+        ),
+        pytest.param(
+            dict(env="gridworld", mode="scm_rollout", model="linear"), None,
+            id="gridworld_scm_rollout",
+        ),
+    ]
+    + [
+        pytest.param(overrides, 7, id="-".join(overrides.values()) + "-chunk7")
+        for overrides in (
+            dict(env="traffic", method="naive_cf"),
+            dict(env="traffic", method="shapley_exact"),
+            dict(env="coopnav", method="shapley_mc"),
+            dict(env="gridworld", mode="scm_rollout", model="linear"),
+        )
     ],
-    ids=["traffic_env_resim", "gridworld_scm_rollout"],
 )
-def test_pipeline_derives_each_stream_once(monkeypatch, overrides):
+def test_pipeline_derives_each_stream_once(monkeypatch, overrides, chunk):
     # a stream is derived alone by derive_stream or as one row of a batch
-    # drawn by uniform_streams; count the keys of both
+    # drawn by uniform_streams; count the keys of both. Batches of 7 rows
+    # split each row set, so a key that rows of two batches read would show
+    # up twice.
+    if chunk is not None:
+        monkeypatch.setattr(macie.counterfactual, "REPLAY_CHUNK", chunk)
     counts = collections.Counter()
     derive = macie.rng.derive_stream
     batch = macie.rng.uniform_streams
@@ -499,7 +516,9 @@ def test_one_row_set_equals_separate_replays(monkeypatch):
 
 
 def test_pipeline_keeps_no_later_environment_replicates(monkeypatch):
-    # replicates above 0 are read by the replay rows of one row set only
+    # the engine keeps only its factual run: the history and, beside it, the
+    # replicate-0 draws of its episodes; a later replicate lives only while
+    # its row set replays
     engines = []
     setup = macie.report._setup
 
@@ -508,10 +527,17 @@ def test_pipeline_keeps_no_later_environment_replicates(monkeypatch):
         return engines[-1]
 
     monkeypatch.setattr(macie.report, "_setup", keeping)
-    run_pipeline(small_config(env="traffic", method="naive_cf"))
+    report = run_pipeline(small_config(env="traffic", method="naive_cf"))
     engine = engines[0][0]
-    assert engine._env_u
-    assert {rep for _, rep in engine._env_u} == {0}
+    E, T, n = report["n_episodes"], engine.horizon, report["n_agents"]
+    act = [(e, j, 0) for e in range(E) for j in range(n)]
+    act = engine.tree.uniforms("act", act, 2 * T).reshape(E, n, T, 2)
+    env = engine.tree.uniforms("env", [(e, 0) for e in range(E)], T * n * 2)
+    assert len(engine.history) == E
+    assert engine._act_draws.tobytes() == act.transpose(0, 2, 1, 3).tobytes()
+    assert engine._env_draws.tobytes() == env.tobytes()
+    held = {k for k, v in vars(engine).items() if isinstance(v, (dict, np.ndarray))}
+    assert held == {"_act_draws", "_env_draws"}
 
 
 # -- ingested logs ------------------------------------------------------------------
