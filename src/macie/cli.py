@@ -260,6 +260,8 @@ def _cmd_run(args):
 
 def _cmd_ingest(args):
     history = read_log(args.log)
+    if args.config and "env" in load_config_file(args.config):
+        raise ConfigError("ingested histories take no simulator settings: env")
     args_config = _build_config(args)
     args_config.mode = "scm_rollout"
     report = run_pipeline(args_config, history=history)

@@ -17,6 +17,11 @@ discrete and are fitted as one score regression per action value with
 argmax prediction (ties to the lowest action). ``done`` is fitted like
 ``r``, on the 0/1 target "this transition ended the episode before the
 horizon", and a transition ends its episode where it predicts above 0.5.
+Consecutive nodes with one parent list share their input rows, so their
+regressions are fitted as one model: an action node's value regressions,
+the dynamic next-state features, and ``r`` with ``done``. A tree model
+grows all of a run's trees in one grower call, after drawing every
+bootstrap in node, value, tree order, and walks them down together.
 
 A fitted model steps like a simulator through
 :func:`macie.envs.kernels.rollout`: its state is the state features
@@ -88,20 +93,23 @@ def _check_model_name(name):
         )
 
 
-def _fit_model(name, X, y, rng):
-    _check_model_name(name)
-    return MODELS[name]().fit(X, y, rng)
-
-
-class DiscreteEquation:
-    """One score regression per action; prediction is the argmax action."""
+class _PerTarget:
+    """Single-target models, one per target row, that predict ``[M, B]``."""
 
     def __init__(self, models):
         self.models = models
 
     def predict(self, X):
-        scores = np.column_stack([m.predict(X) for m in self.models])
-        return np.argmax(scores, axis=1).astype(np.float64)
+        return np.stack([m.predict(X) for m in self.models])
+
+
+def _fit_targets(name, X, Y, rng):
+    """A model of every target row of ``Y[M, n]`` on the inputs ``X``, whose
+    ``predict`` gives ``[M, B]``; tree ensembles grow all M in one call."""
+    _check_model_name(name)
+    if name == "tree_ensemble":
+        return TreeEnsemble().fit(X, Y, rng)
+    return _PerTarget([MODELS[name]().fit(X, y, rng) for y in Y])
 
 
 def _assemble_rows(history):
@@ -236,9 +244,17 @@ class StructuralCausalModel:
                 f"transitions; the model would fit {self.n_actions} regressions "
                 f"per agent"
             )
-        for node, target in self._targets(A, NS, R, D).items():
-            X = self._design(node, blocks)
-            self.equations[node] = self._fit_node(node, X, target, rng)
+        targets = self._targets(A, NS, R, D)
+        # consecutive nodes with one parent list share a design and one fit
+        runs = []
+        for node in targets:
+            if runs and self.parents[runs[-1][0]] == self.parents[node]:
+                runs[-1].append(node)
+            else:
+                runs.append([node])
+        for run in runs:
+            X = self._design(run[0], blocks)
+            self.equations.update(self._fit_run(run, X, targets, rng))
         self.fitted = True
         return self
 
@@ -256,18 +272,40 @@ class StructuralCausalModel:
         targets["done"] = D
         return targets
 
-    def _fit_node(self, node, X, target, rng):
-        """``node``'s equation fitted on its input rows ``X``: an action node
-        gets one score regression per action value, any other node one
-        regression."""
-        if not node.startswith("a"):
-            return _fit_model(self.model_name, X, target, rng)
-        return DiscreteEquation(
-            [
-                _fit_model(self.model_name, X, (target == v).astype(np.float64), rng)
-                for v in range(self.n_actions)
-            ]
-        )
+    def _fit_run(self, nodes, X, targets, rng):
+        """Equations of ``nodes``, which share the input rows ``X``, fitted
+        as one model: an action node gets one score regression per action
+        value, any other node one regression.
+
+        Returns ``{node: (model, rows)}``, ``rows`` indexing the node's
+        targets in the model's output.
+        """
+        Y, rows = [], {}
+        for node in nodes:
+            target = targets[node]
+            if node.startswith("a"):
+                rows[node] = slice(len(Y), len(Y) + self.n_actions)
+                Y += [(target == v).astype(np.float64) for v in range(self.n_actions)]
+            else:
+                rows[node] = len(Y)
+                Y.append(target)
+        model = _fit_targets(self.model_name, X, np.array(Y), rng)
+        return {node: (model, rows[node]) for node in nodes}
+
+    def _predict(self, nodes, blocks):
+        """Each of ``nodes``' predictions on the parent ``blocks``, one model
+        call per fitted run: an action node gives its argmax action (ties to
+        the lowest), any other node its regression."""
+        out = {}
+        for node in nodes:
+            if node in out:
+                continue
+            model = self.equations[node][0]
+            pred = model.predict(self._design(node, blocks))
+            for other, (fitted, rows) in self.equations.items():
+                if fitted is model:
+                    out[other] = _read(other, pred[rows])
+        return [out[node] for node in nodes]
 
     def _design(self, node, blocks):
         """Input rows of ``node``'s equation: one column per parent.
@@ -313,8 +351,10 @@ class StructuralCausalModel:
             for test_idx in folds:
                 train = np.ones(n, dtype=bool)
                 train[test_idx] = False
-                eq = self._fit_node(node, X[train], target[train], rng)
-                pred[test_idx] = eq.predict(X[test_idx])
+                model, rows = self._fit_run(
+                    [node], X[train], {node: target[train]}, rng
+                )[node]
+                pred[test_idx] = _read(node, model.predict(X[test_idx])[rows])
             scores[node] = _r_squared(target, pred)
         return scores
 
@@ -324,30 +364,25 @@ class StructuralCausalModel:
         """Action of ``agent`` in each row of states ``S[B,D]`` that follow
         the joint actions ``PA[B,n]``; an int array ``[B]``."""
         self._require_fitted()
-        node = f"a{agent}"
-        X = self._design(node, {"s": S, "prev_a": PA})
-        return self.equations[node].predict(X).astype(np.int64)
+        (a,) = self._predict([f"a{agent}"], {"s": S, "prev_a": PA})
+        return a.astype(np.int64)
 
     def predict_next_state(self, S, A):
         """Next states ``[B,D]`` from states ``S[B,D]`` and joint actions
         ``A[B,n]``; static features are copied through."""
         self._require_fitted()
         out = np.array(S, dtype=np.float64)
-        blocks = {"s": S, "a": A}
-        for f in range(self.n_features):
-            if f not in self.static_features:
-                node = f"ns{f}"
-                out[:, f] = self.equations[node].predict(
-                    self._design(node, blocks)
-                )
+        dynamic = [f for f in range(self.n_features) if f not in self.static_features]
+        pred = self._predict([f"ns{f}" for f in dynamic], {"s": S, "a": A})
+        for f, values in zip(dynamic, pred):
+            out[:, f] = values
         return out
 
     def predict_reward(self, A, NS):
         """Team reward ``[B]`` of joint actions ``A[B,n]`` that lead to next
         states ``NS[B,D]``."""
         self._require_fitted()
-        X = self._design("r", {"a": A, "ns": NS})
-        return self.equations["r"].predict(X)
+        return self._predict(["r"], {"a": A, "ns": NS})[0]
 
     def predict_outcome(self, team, length):
         """Outcome ``[B]`` of replayed episodes, under the fitted outcome,
@@ -365,10 +400,9 @@ class StructuralCausalModel:
         """Every action node's prediction ``[B, n]`` in the model states
         ``S[B, D + n]``: the state features, then the previous joint action."""
         D = self.n_features
-        return np.stack(
-            [self.predict_action(j, S[:, :D], S[:, D:]) for j in range(self.n_agents)],
-            axis=1,
-        )
+        nodes = [f"a{j}" for j in range(self.n_agents)]
+        acts = self._predict(nodes, {"s": S[:, :D], "prev_a": S[:, D:]})
+        return np.stack(acts, axis=1).astype(np.int64)
 
     def transition(self, s, a, env_u):
         """Apply joint actions ``a[B, n]`` to the model states ``s[B, D + n]``
@@ -379,12 +413,18 @@ class StructuralCausalModel:
         """
         D = self.n_features
         NS = self.predict_next_state(s[:, :D], a)
-        team = self.predict_reward(a, NS)
-        X = self._design("done", {"a": a, "ns": NS})
-        done = self.equations["done"].predict(X) > 0.5
+        team, done = self._predict(["r", "done"], {"a": a, "ns": NS})
+        done = done > 0.5
         s[:, :D] = NS
         s[:, D:] = a
         return np.full((len(s), self.n_agents), np.nan), team, done
+
+
+def _read(node, out):
+    """A node's prediction from its rows of its model's output."""
+    if node.startswith("a"):
+        return np.argmax(out, axis=0).astype(np.float64)
+    return out
 
 
 def _r_squared(target, pred):

@@ -214,8 +214,9 @@ def test_ingest_refuses_an_action_index_past_the_transitions(tmp_path, capsys):
          "alphas, env_config, horizon"),
         ({"env.width": 9}, "env_config"),
         ({"horizon": 5}, "horizon"),
+        ({"env": "traffic"}, "env"),
     ],
-    ids=["all", "env_config", "horizon"],
+    ids=["all", "env_config", "horizon", "env"],
 )
 def test_ingest_refuses_simulator_settings(tmp_path, capsys, config, named):
     # a log's policies, environment and horizon are the log's own, so a

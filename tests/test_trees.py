@@ -1,11 +1,13 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from macie import ConfigError, TreeEnsemble
-from macie.trees import grow_tree, tree_predict
+from macie import trees
+from macie.trees import grow_tree, tree_predict, walk_table
 
 
 # the row-by-row grower that the vectorised ``grow_tree`` replaced; it is the
@@ -174,12 +176,11 @@ def test_split_between_adjacent_doubles_keeps_both_children():
     X = np.array([[a], [b]])
     y = np.array([0.0, 1.0])
     order = np.argsort(X, axis=0, kind="stable").astype(np.int64)
-    feat, thr, left, right, value = grow_tree(
-        X, order, y, np.ones(2), 1, 1.0
-    )
+    (tree,) = grow_tree(X, order, y[None], np.ones((1, 2)), 1, 1.0)
+    feat, thr = tree[:2]
     assert feat[0] == 0
     assert thr[0] == a
-    pred = tree_predict(X, feat, thr, left, right, value)
+    pred = tree_predict(X, *walk_table([tree]))[0]
     assert np.array_equal(pred, y)
 
 
@@ -253,14 +254,40 @@ def _random_case(rng, case):
     return X, order, y, w, case % 6 + 1, float(case // 6 % 3 + 1)
 
 
-def test_grow_tree_matches_the_row_by_row_reference():
+def _random_group(rng, case, y):
+    """Targets of several trees grown in one call on the rows of ``y``:
+    ``y`` and more like it, or every case in ten the one-hot columns of an
+    integer target, as an action node's regressions are."""
+    n = y.size
+    if case % 10 == 0:
+        target = rng.integers(0, int(rng.integers(2, 6)), n)
+        return [y] + [(target == v).astype(np.float64) for v in range(target.max() + 1)]
+    return [y] + [rng.normal(size=n) for _ in range(int(rng.integers(0, 3)))]
+
+
+def test_grow_tree_matches_the_row_by_row_reference(monkeypatch):
     rng = np.random.default_rng(20)
     for case in range(300):
-        args = _random_case(rng, case)
-        got = grow_tree(*args)
-        want = _grow_tree_reference(*args)
-        for g, r in zip(got, want):
-            assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), case
+        X, order, y, w, max_depth, min_leaf = _random_case(rng, case)
+        Y = np.array(_random_group(rng, case, y))
+        W = np.array(
+            [w] + [np.bincount(rng.integers(0, y.size, y.size), minlength=y.size)
+                   for _ in Y[1:]],
+            dtype=np.float64,
+        )
+        with monkeypatch.context() as patch:
+            # groups that span several passes: two trees a pass, a few
+            # nodes a step; or one tree a pass, one node a step
+            if case % 7 == 3:
+                patch.setattr(trees, "_PASS_ELEMS", 2 * X.size)
+            elif case % 7 == 5:
+                patch.setattr(trees, "_PASS_ELEMS", 1)
+            got = grow_tree(X, order, Y, W, max_depth, min_leaf)
+        assert len(got) == len(Y), case
+        for tree, y_tree, w_tree in zip(got, Y, W):
+            want = _grow_tree_reference(X, order, y_tree, w_tree, max_depth, min_leaf)
+            for g, r in zip(tree, want):
+                assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), case
 
 
 def test_ensemble_walk_matches_single_trees_and_single_rows():
@@ -279,5 +306,75 @@ def test_ensemble_walk_matches_single_trees_and_single_rows():
     assert batch.tobytes() == alone.tobytes()
     total = np.zeros(len(probe))
     for tree in model.trees:
-        total += tree_predict(probe, *tree)
+        total += tree_predict(probe, *walk_table([tree]))[0]
     assert batch.tobytes() == (total / len(model.trees)).tobytes()
+
+
+def test_predict_checks_the_column_count():
+    rng = np.random.default_rng(22)
+    model = TreeEnsemble(n_trees=2).fit(
+        rng.random((30, 3)), rng.random(30), np.random.default_rng(0)
+    )
+    for shape in [(5, 4), (5, 2), (5,), (5, 3, 1)]:
+        with pytest.raises(ConfigError, match="fitted on 3 columns"):
+            model.predict(np.zeros(shape))
+    assert model.predict(np.zeros((5, 3))).shape == (5,)
+
+
+def test_one_fit_of_many_targets_matches_one_fit_per_target(monkeypatch):
+    # one grower call and one stacked walk give each target's ensemble the
+    # bits it has fitted alone, drawing its bootstraps in the same order
+    rng = np.random.default_rng(23)
+    X = rng.random((80, 3))
+    X[:, 1] = rng.integers(0, 4, 80)
+    Y = np.stack([np.sin(4.0 * X[:, 0]), X[:, 1] - X[:, 2], X[:, 1] == 2.0])
+    probe = rng.random((25, 3))
+    draws = np.random.default_rng(24)
+    alone = [TreeEnsemble(n_trees=4).fit(X, y, draws) for y in Y]
+    want = np.stack([model.predict(probe) for model in alone])
+    together = TreeEnsemble(n_trees=4).fit(X, Y, np.random.default_rng(24))
+    assert together.to_dict()["trees"] == [
+        tree for model in alone for tree in model.to_dict()["trees"]
+    ]
+    assert together.predict(probe).tobytes() == want.tobytes()
+    # walks of two ensembles (the last of one), or of one
+    for cap in (2 * 4 * len(probe), 1):
+        monkeypatch.setattr(trees, "_WALK_ELEMS", cap)
+        assert together.predict(probe).tobytes() == want.tobytes()
+
+
+def _held_beyond_result(call):
+    """Peak bytes a call holds beyond what it leaves allocated: its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+        del result
+        return peak - current
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_number_of_trees():
+    # one grower call or one walk holds at most a bounded pass beyond the
+    # Y and W its caller holds and the trees or predictions it returns:
+    # below a pass's worth of trees it grows by at most that pass (measured
+    # 55 and 32 bytes an element), beyond it not at all (measured -30 kB and
+    # +0)
+    rng = np.random.default_rng(25)
+    X = rng.random((250, 6))
+    X[:, 0] = rng.integers(0, 5, 250)
+    order = np.argsort(X, axis=0, kind="stable").astype(np.int64)
+    grow, walk = {}, {}
+    for q in (1, 60, 240):
+        Y = rng.normal(size=(q, 250))
+        W = np.stack(
+            [np.bincount(rng.integers(0, 250, 250), minlength=250) for _ in range(q)]
+        ).astype(np.float64)
+        grow[q] = _held_beyond_result(lambda: grow_tree(X, order, Y, W, 5, 1.0))
+        model = TreeEnsemble(n_trees=10).fit(X, Y, rng)
+        walk[q] = _held_beyond_result(lambda: model.predict(X))
+    assert grow[60] < grow[1] + 64 * trees._PASS_ELEMS
+    assert walk[60] < walk[1] + 64 * trees._WALK_ELEMS
+    assert grow[240] < grow[60] + 2**14
+    assert walk[240] < walk[60] + 2**14
