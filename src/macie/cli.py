@@ -316,6 +316,11 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # replay rows grow with episodes x coalitions x k
+        reason = str(exc) or "allocation failed"
+        print(f"error: out of memory: {reason}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -25,10 +25,15 @@ Shared conventions:
   asked for. Entries after a row's last step stay zero.
 
 The dynamics keep the arithmetic of the scalar definitions they replaced,
-so reports stay bit-identical: powers go through ``np.float_power`` (C
-``pow``, as Python's ``**``; ``np.sqrt`` and ``x * x`` round differently on
-some inputs), rewards are summed in agent order, and ties go to the lowest
-action or landmark index.
+so reports stay bit-identical: every distance value goes through
+``np.float_power`` (C ``pow``, as Python's ``**``; ``np.sqrt`` and
+``x * x`` round differently on some inputs), rewards are summed in agent
+order, and ties go to the lowest action or landmark index. A decision that
+only compares distances is filtered: it is made on the squared distance
+``dx * dx + dy * dy`` and falls back to C ``pow`` only when a comparison
+lies within a relative guard band far wider than ``pow``'s error (see
+``worlds._below`` and ``worlds._argmin_hypot``), so it picks what the
+powers would pick.
 """
 
 from __future__ import annotations
@@ -51,6 +56,16 @@ def grid_moves(x, y, step, hi):
     xs = np.stack([x, x, left, right, x], axis=-1)
     ys = np.stack([up, down, y, y, y], axis=-1)
     return xs, ys
+
+
+def move(x, y, a, step, hi):
+    """Positions after the chosen actions ``a``: :func:`grid_moves`' arithmetic
+    for one action per element, without building the other four."""
+    x = np.where(a == 2, np.maximum(x - step, 0.0), x)
+    x = np.where(a == 3, np.minimum(x + step, hi), x)
+    y = np.where(a == 0, np.minimum(y + step, hi), y)
+    y = np.where(a == 1, np.maximum(y - step, 0.0), y)
+    return x, y
 
 
 def take(options, index):

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, fields
+from functools import reduce
 from typing import Any
 
 import numpy as np
 
 from ..core import ConfigError, _is_finite
-from .kernels import grid_moves, take
+from .kernels import grid_moves, move, take
 
 
 class Environment:
@@ -133,9 +134,8 @@ class GridWorld(Environment):
 
     def transition(self, s, a, env_u):
         c = self.config
-        xs, ys = grid_moves(s[:, 0:4:2], s[:, 1:4:2], 1.0, self.width - 1.0)
-        s[:, 0:4:2] = take(xs, a)
-        s[:, 1:4:2] = take(ys, a)
+        hi = self.width - 1.0
+        s[:, 0:4:2], s[:, 1:4:2] = move(s[:, 0:4:2], s[:, 1:4:2], a, 1.0, hi)
         on_goal = (s[:, 0:4:2] == s[:, 4:8:2]) & (s[:, 1:4:2] == s[:, 5:8:2])
         first = on_goal & (s[:, 8:10] == 0.0)
         s[:, 8:10][first] = 1.0
@@ -146,8 +146,59 @@ class GridWorld(Environment):
 
 
 def _pow_hypot(dx, dy):
-    """``(dx ** 2 + dy ** 2) ** 0.5`` with C ``pow``, as Python's ``**`` rounds."""
+    """``(dx ** 2 + dy ** 2) ** 0.5`` with C ``pow``, as Python's ``**`` rounds.
+
+    The one definition of a distance value: every reported distance is
+    computed here. Decisions that only compare distances use the filtered
+    forms below, which agree with comparing these values.
+    """
     return np.float_power(np.float_power(dx, 2) + np.float_power(dy, 2), 0.5)
+
+
+# Relative guard band of the filtered decisions. C ``pow`` and ``x * x``
+# differ by at most an ulp or so (about 1e-16 relative); outside this band
+# the squared distance orders the same way the powers do.
+_GUARD = 1e-12
+
+
+def _below(q, r):
+    """``np.float_power(q, 0.5) < r``, deciding on ``q`` against ``r * r``.
+
+    Only a ``q`` within the guard band around ``r * r`` takes C ``pow``.
+    """
+    r2 = r * r
+    out = q < r2 * (1.0 - _GUARD)
+    band = ~out & (q <= r2 * (1.0 + _GUARD))
+    if band.any():
+        out[band] = np.float_power(q[band], 0.5) < r
+    return out
+
+
+def _columns(x):
+    """The last axis of ``x`` as a list of arrays.
+
+    numpy reduces over a short last axis several times slower than it runs
+    one elementwise op per entry, so the filters fold the entries instead.
+    """
+    return [x[..., k] for k in range(x.shape[-1])]
+
+
+def _argmin_hypot(dx, dy):
+    """``_pow_hypot(dx, dy).argmin(axis=-1)``, deciding on squared distances.
+
+    A row whose runner-up lies within the guard band of its minimum (a tie
+    or a near tie), or that holds a NaN, falls back to ``_pow_hypot`` for
+    that row alone, so ties still go to the lowest index the powers give.
+    ``dx`` and ``dy`` share one shape.
+    """
+    q = dx * dx + dy * dy
+    index = q.argmin(axis=-1)
+    least = reduce(np.minimum, _columns(q))
+    bound = least * (1.0 + _GUARD)
+    near = sum(c <= bound for c in _columns(q)) != 1
+    if near.any():
+        index[near] = _pow_hypot(dx[near], dy[near]).argmin(axis=-1)
+    return index
 
 
 @dataclass(frozen=True)
@@ -202,23 +253,24 @@ class CoopNav(Environment):
         # head for the nearest landmark no other agent covers (within 0.1),
         # or the nearest landmark at all when every one is covered
         dx, dy = self._offsets(S)
-        covers = np.float_power(dx * dx + dy * dy, 0.5) < 0.1
-        by_other = covers.sum(axis=1, keepdims=True) - covers > 0
-        dist = _pow_hypot(dx, dy)
-        free = np.where(by_other, np.inf, dist)
-        target = np.where(
-            (~by_other).any(axis=-1), free.argmin(axis=-1), dist.argmin(axis=-1)
-        )
+        covers = _below(dx * dx + dy * dy, 0.1)
+        # another agent covers a landmark when more agents cover it than this one
+        by_other = sum(covers[:, i] for i in range(3))[:, None] > covers
+        # an infinite offset rules a landmark out, unless none is free
+        skip = by_other & ~reduce(np.logical_and, _columns(by_other))[..., None]
+        target = _argmin_hypot(np.where(skip, np.inf, dx), dy)
         tx = take(S[:, None, 6:12:2], target)
         ty = take(S[:, None, 7:12:2], target)
         xs, ys = grid_moves(S[:, 0:6:2], S[:, 1:6:2], 0.1, 1.0)
-        return _pow_hypot(xs - tx[..., None], ys - ty[..., None]).argmin(axis=-1)
+        return _argmin_hypot(xs - tx[..., None], ys - ty[..., None])
 
     def transition(self, s, a, env_u):
-        xs, ys = grid_moves(s[:, 0:6:2], s[:, 1:6:2], 0.1, 1.0)
-        s[:, 0:6:2] = take(xs, a)
-        s[:, 1:6:2] = take(ys, a)
-        closest = _pow_hypot(*self._offsets(s)).min(axis=1)
+        s[:, 0:6:2], s[:, 1:6:2] = move(s[:, 0:6:2], s[:, 1:6:2], a, 0.1, 1.0)
+        # each landmark's closest agent, and the distance to it
+        dx = s[:, None, 0:6:2] - s[:, 6:12:2, None]
+        dy = s[:, None, 1:6:2] - s[:, 7:12:2, None]
+        agent = _argmin_hypot(dx, dy)
+        closest = _pow_hypot(take(dx, agent), take(dy, agent))
         cost = 0.0
         for landmark in range(3):
             cost = cost + closest[:, landmark]
@@ -226,7 +278,7 @@ class CoopNav(Environment):
         for i, j in ((0, 1), (0, 2), (1, 2)):
             dx = s[:, 2 * i] - s[:, 2 * j]
             dy = s[:, 2 * i + 1] - s[:, 2 * j + 1]
-            collisions = collisions + (np.float_power(dx * dx + dy * dy, 0.5) < 0.1)
+            collisions = collisions + _below(dx * dx + dy * dy, 0.1)
         team = -cost - 1.0 * collisions
         rewards = np.repeat((team / 3.0)[:, None], 3, axis=1)
         return rewards, team, np.zeros(len(s), dtype=bool)
@@ -293,9 +345,7 @@ class PredatorPrey(Environment):
         s[:, 4] = take(qx, flee)
         s[:, 5] = take(qy, flee)
         # predators move after the prey; capture means landing on it
-        xs, ys = grid_moves(s[:, 0:4:2], s[:, 1:4:2], 1.0, hi)
-        s[:, 0:4:2] = take(xs, a)
-        s[:, 1:4:2] = take(ys, a)
+        s[:, 0:4:2], s[:, 1:4:2] = move(s[:, 0:4:2], s[:, 1:4:2], a, 1.0, hi)
         captured = ((s[:, 0] == s[:, 4]) & (s[:, 1] == s[:, 5])) | (
             (s[:, 2] == s[:, 4]) & (s[:, 3] == s[:, 5])
         )

@@ -201,6 +201,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a number, got {value!r}")
             if not _is_finite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        if not 0 <= self.seed < 2**64:
+            # streams key on the seed's 64 bits, so a wider seed would alias
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.m is not None and self.m < 1:

@@ -63,6 +63,39 @@ def test_invalid_config_value_returns_2(capsys):
     assert "k must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "seed", ["-1", str(2**64), str(2**65 - 1)], ids=["negative", "2^64", "2^65-1"]
+)
+def test_seed_outside_64_bits_returns_2(capsys, seed):
+    # each of these once masked to the 64-bit seed 2^64 - 1 and ran its streams
+    args = ["--episodes", "2", "--k", "1", "--b", "2", "--seed", seed]
+    assert main(["run", "--env", "gridworld", *args]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert f"seed must be in [0, 2**64), got {seed}" in err
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["0", "2^64-1"])
+def test_seeds_at_the_64_bit_ends_run(tmp_path, capsys, seed):
+    out = tmp_path / "report.json"
+    args = ["--episodes", "2", "--k", "1", "--b", "2", "--seed", str(seed)]
+    assert main(["run", "--env", "gridworld", *args, "--out", str(out)]) == 0
+    assert read_report(out)["config"]["seed"] == seed
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 4.37 TiB", ""])
+def test_run_out_of_memory_returns_3(capsys, monkeypatch, message):
+    def too_large(self, episodes, coalitions):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(CounterfactualEngine, "_rows", too_large)
+    assert main(["run", "--env", "coopnav", *RUN_ARGS]) == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: out of memory: ")
+    assert message in err
+
+
 def test_bad_alpha_and_emit_flags_return_2(capsys):
     assert main(["run", "--env", "gridworld", "--alpha", "fast"]) == 2
     for index in ["0_1", " 0", "+0", "\u0663"]:

@@ -105,7 +105,9 @@ def test_mixed_batch_matches_each_row_alone(name):
 
 # sha256 of rollout outputs on fixed random inputs, recorded from the scalar
 # per-episode kernels the batched rollouts replaced. Small reports can hide
-# a last-bit change (np.sqrt for a C pow, say); these raw outputs cannot.
+# a last-bit change (np.sqrt for the C pow of a reported distance, say, or a
+# filtered coopnav decision that strays from the powers); these raw outputs
+# cannot.
 GOLDEN_ROLLOUTS = {
     "additive": "3ae78a1e045a4e3c53d95676afa844a7939d1f6db5fadcabb42b538210fe8b15",
     "coopnav": "da2e9f0b73a18a501b1be784063682c3d6e98fd4aea63dda06f6292ef4d3fd68",
@@ -257,6 +259,159 @@ def test_coopnav_landmarks_hold_still():
     s = env.initial_state(np.random.default_rng(0))
     states, _, _, _, length = rollout(env, s, env.horizon, [0] * 3, [0.8] * 3)
     assert np.array_equal(states[0][6:], states[length][6:])
+
+
+def _pow_hypot(dx, dy):
+    return np.float_power(np.float_power(dx, 2) + np.float_power(dy, 2), 0.5)
+
+
+def reference_coopnav_greedy(S):
+    # CoopNav.greedy_actions with every distance taken through C pow: the
+    # filtered decisions must pick exactly what this picks
+    dx = S[:, 0:6:2, None] - S[:, None, 6:12:2]
+    dy = S[:, 1:6:2, None] - S[:, None, 7:12:2]
+    covers = np.float_power(dx * dx + dy * dy, 0.5) < 0.1
+    by_other = covers.sum(axis=1, keepdims=True) - covers > 0
+    dist = _pow_hypot(dx, dy)
+    free = np.where(by_other, np.inf, dist)
+    target = np.where(
+        (~by_other).any(axis=-1), free.argmin(axis=-1), dist.argmin(axis=-1)
+    )
+    tx = kernels.take(S[:, None, 6:12:2], target)
+    ty = kernels.take(S[:, None, 7:12:2], target)
+    xs, ys = kernels.grid_moves(S[:, 0:6:2], S[:, 1:6:2], 0.1, 1.0)
+    return _pow_hypot(xs - tx[..., None], ys - ty[..., None]).argmin(axis=-1)
+
+
+def reference_coopnav_transition(s, a):
+    # CoopNav.transition with all five moves built and every distance
+    # taken through C pow
+    xs, ys = kernels.grid_moves(s[:, 0:6:2], s[:, 1:6:2], 0.1, 1.0)
+    s[:, 0:6:2] = kernels.take(xs, a)
+    s[:, 1:6:2] = kernels.take(ys, a)
+    dx = s[:, 0:6:2, None] - s[:, None, 6:12:2]
+    dy = s[:, 1:6:2, None] - s[:, None, 7:12:2]
+    closest = _pow_hypot(dx, dy).min(axis=1)
+    cost = 0.0
+    for landmark in range(3):
+        cost = cost + closest[:, landmark]
+    collisions = 0
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        dx = s[:, 2 * i] - s[:, 2 * j]
+        dy = s[:, 2 * i + 1] - s[:, 2 * j + 1]
+        collisions = collisions + (np.float_power(dx * dx + dy * dy, 0.5) < 0.1)
+    team = -cost - 1.0 * collisions
+    return np.repeat((team / 3.0)[:, None], 3, axis=1), team
+
+
+def _ulps(x, k):
+    """``x`` moved ``k`` ulps (either sign), elementwise."""
+    x = np.array(x, dtype=np.float64)
+    k = np.broadcast_to(k, x.shape)
+    for _ in range(int(np.abs(k).max(initial=0))):
+        x = np.where(k > 0, np.nextafter(x, np.inf), x)
+        x = np.where(k < 0, np.nextafter(x, -np.inf), x)
+        k = k - np.sign(k)
+    return x
+
+
+def _coopnav_edge_states(rng):
+    """Coopnav states that put decisions on their edges, each kind tagged."""
+    cases = {}
+    B = 600
+    # an agent 0.1 +- 0-3 ulps from a landmark, along an axis or a
+    # diagonal, and agent pairs 0.1 +- 0-3 ulps apart
+    S = rng.random((B, 12))
+    k = rng.integers(-3, 4, B)
+    angle = rng.choice([0.0, np.pi / 4, np.pi / 3, rng.random()], B)
+    d = _ulps(np.full(B, 0.1), k)
+    S[:, 6] = S[:, 0] + d * np.cos(angle)
+    S[:, 7] = S[:, 1] + d * np.sin(angle)
+    S[:, 2] = S[:, 0] + _ulps(np.full(B, 0.1), rng.integers(-3, 4, B))
+    S[:, 3] = S[:, 1]
+    S[:, 4] = _ulps(S[:, 2] - 0.06, rng.integers(-3, 4, B))
+    S[:, 5] = _ulps(S[:, 3] + 0.08, rng.integers(-3, 4, B))
+    cases["distance 0.1"] = S
+    # agents on a landmark, and two agents on one
+    S = rng.random((B, 12))
+    S[:, 6:8] = S[:, 0:2]
+    S[::2, 2:4] = S[::2, 0:2]
+    S[1::3, 8:10] = S[1::3, 4:6]
+    cases["on a landmark"] = S
+    # duplicate landmarks, and three copies of one
+    S = rng.random((B, 12))
+    S[:, 8:10] = S[:, 6:8]
+    S[::2, 10:12] = S[::2, 6:8]
+    cases["duplicate landmarks"] = S
+    # every landmark covered: each within 0.05 of its own agent
+    S = rng.random((B, 12))
+    S[:, 6:12] = np.clip(S[:, 0:6] + rng.uniform(-0.05, 0.05, (B, 6)), 0.0, 1.0)
+    cases["all covered"] = S
+    # a landmark half a move from an agent, +- 0-3 ulps: two moves nearly tie
+    S = rng.random((B, 12))
+    S[:, 6] = _ulps(S[:, 0] + 0.05, rng.integers(-3, 4, B))
+    S[:, 7] = _ulps(S[:, 1] + rng.choice([0.0, 0.05], B), rng.integers(-3, 4, B))
+    cases["half a move"] = S
+    # positions on the 0.1 grid, and clipped to the walls
+    cases["0.1 grid"] = np.round(rng.random((B, 12)), 1)
+    S = rng.random((B, 12))
+    S[rng.random((B, 12)) < 0.3] = 0.0
+    S[rng.random((B, 12)) < 0.3] = 1.0
+    cases["walls"] = S
+    # offsets whose squares are subnormal, some of them exactly zero
+    S = rng.random((B, 12)) * 1e-160
+    S[::2, 6:12:2] = 0.0
+    cases["subnormal squares"] = S
+    cases["random"] = rng.random((B, 12))
+    return cases
+
+
+def test_coopnav_filtered_decisions_match_the_powers():
+    # greedy_actions and transition decide on squared distances and take
+    # C pow only in a guard band; every action, state and reward must equal
+    # the all-pow reference, bit for bit
+    env = make_env("coopnav")
+    rng = np.random.default_rng(29)
+    for kind, S in _coopnav_edge_states(rng).items():
+        assert np.array_equal(env.greedy_actions(S), reference_coopnav_greedy(S)), kind
+        for a in (np.full((len(S), 3), 4), rng.integers(0, 5, (len(S), 3))):
+            s, ref = S.copy(), S.copy()
+            rewards, team, done = env.transition(s, a, None)
+            ref_rewards, ref_team = reference_coopnav_transition(ref, a)
+            assert s.tobytes() == ref.tobytes(), kind
+            assert rewards.tobytes() == ref_rewards.tobytes(), kind
+            assert team.tobytes() == ref_team.tobytes(), kind
+            assert not done.any()
+
+
+def test_coopnav_edge_states_reach_the_guard_band():
+    # the edge cases above are only a test of the filters if C pow decides
+    # some of them: squares within 1e-12 of 0.01, and exact distance ties
+    cases = _coopnav_edge_states(np.random.default_rng(29))
+    S = cases["distance 0.1"]
+    q = (S[:, 6] - S[:, 0]) ** 2 + (S[:, 7] - S[:, 1]) ** 2
+    assert (np.abs(q - 0.01) < 1e-14).mean() > 0.9
+    q = (S[:, 2] - S[:, 0]) ** 2 + (S[:, 3] - S[:, 1]) ** 2
+    assert (np.abs(q - 0.01) < 1e-14).mean() > 0.9
+    S = cases["duplicate landmarks"]
+    assert np.array_equal(S[:, 6:8], S[:, 8:10])
+
+
+def test_move_applies_grid_moves_for_the_chosen_action():
+    rng = np.random.default_rng(4)
+    for step_len, hi in ((1.0, 4.0), (0.1, 1.0)):
+        x = rng.choice([0.0, step_len / 2, hi / 2, hi - step_len / 2, hi], (60, 3))
+        y = rng.choice([0.0, step_len / 2, hi / 2, hi - step_len / 2, hi], (60, 3))
+        xs, ys = kernels.grid_moves(x, y, step_len, hi)
+        for action in range(5):
+            a = np.full(x.shape, action)
+            mx, my = kernels.move(x, y, a, step_len, hi)
+            assert mx.tobytes() == kernels.take(xs, a).tobytes()
+            assert my.tobytes() == kernels.take(ys, a).tobytes()
+        a = rng.integers(0, 5, x.shape)
+        mx, my = kernels.move(x, y, a, step_len, hi)
+        assert mx.tobytes() == kernels.take(xs, a).tobytes()
+        assert my.tobytes() == kernels.take(ys, a).tobytes()
 
 
 def test_predator_prey_moves_before_predators():
