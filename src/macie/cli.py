@@ -20,11 +20,11 @@ import json
 import sys
 
 from .core import OUTCOME_KINDS, ConfigError, MacieError, _is_finite, read_log
-from .counterfactual import MODES
 from .envs import env_description, list_envs
 from .explain import VERBOSITY_LEVELS, build_explanation
 from .report import (
     METHODS,
+    MODES,
     RunConfig,
     bench_k_convergence,
     read_report,

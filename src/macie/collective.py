@@ -23,6 +23,8 @@ from .attribution import game_size
 from .core import ConfigError
 
 DEFAULT_N_BINS = 4
+# a bin index is a float cast to int64; beyond 2**53 bins the cast overflows
+MAX_N_BINS = 2**53
 SI_BOUND = 2.0
 
 
@@ -102,6 +104,8 @@ def discretize_states(states, n_bins=DEFAULT_N_BINS):
     """Equal-width bin signature per row, one symbol id per distinct cell."""
     if n_bins < 1:
         raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    if n_bins > MAX_N_BINS:
+        raise ConfigError(f"n_bins must be <= 2**53, got {n_bins}")
     S = np.asarray(states, dtype=np.float64)
     lo = S.min(axis=0)
     span = S.max(axis=0) - lo

@@ -13,8 +13,8 @@ random numbers). Sample k of agent i's intervention is the row
 (N minus i, e, k), and the value of S on episode e is (S, e, 0). So an
 intervention that installs a policy identical to the factual one
 reproduces the factual episode bit for bit, and the row (N, e, 0) is the
-factual episode: ``env_resim`` reads the grand coalition off the factual
-run instead of replaying it.
+factual episode: with no model attached, the grand coalition is read off
+the factual run instead of replayed.
 
 :meth:`CounterfactualEngine.replay` is the one entry point: it replays the
 rows of the coalitions it is given, each with its replicate count, as one
@@ -28,17 +28,18 @@ ingested history, or the episodes 0..max it simulated as one batched
 rollout of whole trajectories. Factual outcomes, traces, start states and
 first joint actions are read off its arrays.
 
-Two modes replay a row set, both in ceil(B / ``REPLAY_CHUNK``) batches of
-equal size (give or take one row), each batch one run of
+A row set replays through the engine's world: the fitted structural model
+when one is attached (``scm_rollout``), the simulator otherwise
+(``env_resim``). It runs in ceil(B / ``REPLAY_CHUNK``) batches of equal
+size (give or take one row), each batch one run of
 :func:`macie.envs.kernels.rollout` that records only the team reward and
-the length, which is all an outcome and a trace read. ``env_resim`` steps
-the simulator. ``scm_rollout`` steps the fitted structural model, which
-has the simulator's stepping interface, so it also serves ingested
-histories with no simulator: each row starts from its factual episode's
-first state and first joint action, the factual agents play the model's
-action nodes, the baseline agents play the engine's baseline, and a row
-ends where the model's ``done`` node ends it. Both modes read outcomes and
-traces off the replayed rewards and lengths alike. A row reads only its
+the length, which is all an outcome and a trace read. The model has the
+simulator's stepping interface, so it also serves ingested histories with
+no simulator: each row starts from its factual episode's first state and
+first joint action, the factual agents play the model's action nodes, the
+baseline agents play the engine's baseline, and a row ends where the
+model's ``done`` node ends it. Outcomes and traces are read off the
+replayed rewards and lengths alike in both worlds. A row reads only its
 own streams, so the split into batches never changes a result.
 
 Each stream is derived once per run. Beside its history the engine keeps
@@ -68,7 +69,6 @@ from .envs import kernels
 from .policies import BaselinePolicy, ConstantPolicy, SkillPolicy, policy_arrays
 from .rng import SeedTree
 
-MODES = ("env_resim", "scm_rollout")
 DEFAULT_EPSILON_FRAC = 0.1
 # Most rows per replay batch. A replay step costs a few dozen numpy calls
 # whatever the batch width, so wide batches spread that cost over many rows;
@@ -93,20 +93,12 @@ class CounterfactualEngine:
         env=None,
         policies=None,
         history: History | None = None,
-        mode="env_resim",
         scm=None,
         baseline=None,
         epsilon_frac=DEFAULT_EPSILON_FRAC,
     ):
-        if mode not in MODES:
-            raise ConfigError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
         if env is None and history is None:
             raise ConfigError("need an environment or an ingested history")
-        if env is None and mode == "env_resim":
-            raise ConfigError(
-                "env_resim mode needs an environment; ingested histories "
-                "can only use scm_rollout"
-            )
         if env is not None and policies is None:
             raise ConfigError("simulating an environment needs policies")
         if env is not None and policies is not None and len(policies) != env.n_agents:
@@ -123,7 +115,6 @@ class CounterfactualEngine:
         self.env = env
         self.policies = list(policies) if policies is not None else None
         self.history = history
-        self.mode = mode
         self.scm = scm
         self.baseline = baseline
         self.epsilon_frac = epsilon_frac
@@ -230,7 +221,7 @@ class CounterfactualEngine:
         the model from its first joint action too. The rows run in
         ceil(B / ``REPLAY_CHUNK``) batches whose sizes differ by one at most.
         """
-        world = self.env if self.mode == "env_resim" else self._model()
+        world = self._world()
         episodes, baseline, reps, env_rep = rows
         T, n, B = self.horizon, self.n_agents, len(episodes)
         self.factuals([episodes.max()])  # the history then holds every row's episode
@@ -264,14 +255,17 @@ class CounterfactualEngine:
             outcomes.append(rewards_outcome(team, length, self.outcome))
         return np.concatenate(traces), np.concatenate(outcomes)
 
-    def _model(self):
-        """The fitted structural model, once every constant policy's action
-        is checked against its action space."""
-        if self.scm is None:
-            raise MacieError("scm_rollout mode needs a fitted structural model")
-        policies = [*(self.policies or []), self.baseline]
-        _check_constant_actions(policies, self.scm.n_actions, "the fitted model")
-        return self.scm
+    def _world(self):
+        """What replays step: the attached structural model, once every
+        constant policy's action is checked against its action space, or
+        else the simulator."""
+        if self.scm is not None:
+            policies = [*(self.policies or []), self.baseline]
+            _check_constant_actions(policies, self.scm.n_actions, "the fitted model")
+            return self.scm
+        if self.env is None:
+            raise MacieError("an ingested history replays only through a fitted model")
+        return self.env
 
     # -- counterfactuals -----------------------------------------------------------
 
@@ -286,14 +280,14 @@ class CounterfactualEngine:
         policies, to its replicate count K_S; every row is built once.
         Returns ``(y, traces)``: ``y[S]`` is ``[E, K_S]`` and ``traces[S]``
         is ``[E, K_S, T]`` for each S in ``traced``, the only rows traced.
-        In ``env_resim`` the row (N, e, 0) is the factual episode, bit for
-        bit, so a grand coalition asked for at one replicate is read off
-        the factual run instead of replayed.
+        With no model attached the row (N, e, 0) is the factual episode,
+        bit for bit, so a grand coalition asked for at one replicate is read
+        off the factual run instead of replayed.
         """
         episodes = np.array(list(episodes), dtype=np.int64)
         E, grand = len(episodes), tuple(range(self.n_agents))
         ys, traces = {}, {}
-        if self.mode == "env_resim" and coalitions.get(grand) == 1:
+        if self.scm is None and coalitions.get(grand) == 1:
             facts = self.factuals(episodes)
             ys[grand] = rewards_outcome(facts.team, facts.length, self.outcome)[:, None]
             if grand in traced:

@@ -42,6 +42,7 @@ from .attribution import (
 )
 from .collective import (
     DEFAULT_N_BINS,
+    MAX_N_BINS,
     emergence_coalitions,
     emergence_metrics,
 )
@@ -55,11 +56,7 @@ from .core import (
     _is_finite,
     _is_real,
 )
-from .counterfactual import (
-    DEFAULT_EPSILON_FRAC,
-    MODES,
-    CounterfactualEngine,
-)
+from .counterfactual import DEFAULT_EPSILON_FRAC, CounterfactualEngine
 from .envs import kernels, list_envs, make_env
 from .explain import (
     DEFAULT_TAU_SI,
@@ -75,6 +72,8 @@ from .trees import TreeEnsemble
 REPORT_FORMAT = "macie-report"
 REPORT_VERSION = 1
 METHODS = ("naive_cf", "shapley_exact", "shapley_mc")
+# env_resim replays through the simulator, scm_rollout through the fitted model
+MODES = ("env_resim", "scm_rollout")
 DEFAULT_EPISODES = {
     "gridworld": 25,
     "coopnav": 20,
@@ -201,9 +200,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a number, got {value!r}")
             if not _is_finite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        if not 0 <= self.seed < 2**64:
-            # streams key on the seed's 64 bits, so a wider seed would alias
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.m is not None and self.m < 1:
@@ -223,6 +219,8 @@ class RunConfig:
             raise ConfigError(f"episodes must be >= 2, got {self.episodes}")
         if self.ii_bins < 1:
             raise ConfigError(f"ii_bins must be >= 1, got {self.ii_bins}")
+        if self.ii_bins > MAX_N_BINS:
+            raise ConfigError(f"ii_bins must be <= 2**53, got {self.ii_bins}")
         for i, a in self.alphas.items():
             if not _is_int(i):
                 raise ConfigError(f"alpha override agent {i!r} is not an integer")
@@ -258,7 +256,6 @@ def _setup(config, history):
             tree,
             outcome,
             history=hist,
-            mode="scm_rollout",
             epsilon_frac=config.epsilon_frac,
         )
         return engine, hist, episodes
@@ -279,7 +276,6 @@ def _setup(config, history):
         outcome,
         env=env,
         policies=policies,
-        mode=config.mode,
         epsilon_frac=config.epsilon_frac,
     )
     hist = engine.generate_history(episodes)

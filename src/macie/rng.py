@@ -28,6 +28,7 @@ so every block of every stream is computed at once (Salmon et al.,
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from dataclasses import dataclass
 
@@ -35,14 +36,19 @@ import numpy as np
 
 from .core import ConfigError
 
-_MASK64 = (1 << 64) - 1
-
-
 @dataclass(frozen=True)
 class SeedTree:
     """Root of a run's random stream hierarchy."""
 
     master_seed: int
+
+    def __post_init__(self):
+        seed = self.master_seed
+        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        if not 0 <= seed < 2**64:
+            # streams key on the seed's 64 bits, so a wider seed would alias
+            raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
 
     def stream(self, tag: str, *indices: int) -> np.random.Generator:
         return derive_stream(self, tag, list(indices))
@@ -77,7 +83,7 @@ def derive_stream(seed_tree: SeedTree, tag: str, indices) -> np.random.Generator
         raise ConfigError("stream indices must be non-negative integers")
     key = zlib.crc32(tag.encode("utf-8"))
     seq = np.random.SeedSequence(
-        entropy=int(seed_tree.master_seed) & _MASK64, spawn_key=(key, *idx)
+        entropy=int(seed_tree.master_seed), spawn_key=(key, *idx)
     )
     return np.random.Generator(np.random.Philox(seq))
 
@@ -129,7 +135,7 @@ def _philox_keys(master_seed, tag_word, indices):
     words every stream shares, seed and tag, are mixed once as Python ints;
     each index column is then mixed into all four pool words at once.
     """
-    seed = int(master_seed) & _MASK64
+    seed = int(master_seed)
     calls = iter(_hash_consts(_INIT_A, _MULT_A, _POOL * (_POOL + 1 + indices.shape[1])))
     pool = [_hash(w, *next(calls)) for w in (seed & _MASK32, seed >> 32, 0, 0)]
     for src in range(_POOL):

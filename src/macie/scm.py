@@ -1,27 +1,30 @@
 """Structural model of one timestep of a multi-agent system.
 
-The graph is a fixed template over named nodes: state features ``s{f}``,
-previous actions ``prev_a{i}``, current actions ``a{i}``, next state
-features ``ns{f}``, per-step team reward ``r``, and termination ``done``.
-States and previous actions are exogenous. Candidate edges
-``prev_a{i} -> a{j}`` (i != j) carry inter-agent influence and are pruned
-when the observed correlation is weak; all other edges are structural:
-states drive actions, states and actions drive the next state, and actions
-and the next state drive the reward and termination. State features that
-never change within the training transitions (goal or landmark
-coordinates, for example) are treated as episode constants: they get no
-transition equation and are copied through unchanged.
+The model is a fixed template. The state features ``S`` and the previous
+joint action ``PA`` are exogenous, and the equations are:
 
-Each non-exogenous node gets its own fitted equation. Action nodes are
-discrete and are fitted as one score regression per action value with
-argmax prediction (ties to the lowest action). ``done`` is fitted like
-``r``, on the 0/1 target "this transition ended the episode before the
-horizon", and a transition ends its episode where it predicts above 0.5.
-Consecutive nodes with one parent list share their input rows, so their
-regressions are fitted as one model: an action node's value regressions,
-the dynamic next-state features, and ``r`` with ``done``. A tree model
-grows all of a run's trees in one grower call, after drawing every
-bootstrap in node, value, tree order, and walks them down together.
+- ``a{j}`` on ``S`` and ``PA[:, reads[j]]``: each agent's action reads the
+  state and the previous actions of the agents in ``reads[j]``;
+- ``ns{f}`` on ``S`` and the joint action ``A``, for each dynamic state
+  feature ``f``;
+- the team reward ``r`` and the termination ``done`` on ``A`` and the next
+  state ``NS``.
+
+``reads[j]`` keeps each other agent ``i`` whose previous action correlates
+with ``a{j}`` (the inter-agent edge ``prev_a{i} -> a{j}``) and drops the
+weakly correlated ones. State features that never change within the
+training transitions (goal or landmark coordinates, for example) are
+static: they get no equation and are copied through unchanged.
+
+Action nodes are discrete and are fitted as one score regression per
+action value with argmax prediction (ties to the lowest action). ``done``
+is fitted like ``r``, on the 0/1 target "this transition ended the episode
+before the horizon", and a transition ends its episode where it predicts
+above 0.5. Equations that share their inputs are fitted as one model: a
+run of consecutive agents with equal ``reads``, the dynamic next-state
+features, and ``r`` with ``done``. A tree model grows all of a model's
+trees in one grower call, after drawing every bootstrap in node, value,
+tree order, and walks them down together.
 
 A fitted model steps like a simulator through
 :func:`macie.envs.kernels.rollout`: its state is the state features
@@ -37,6 +40,8 @@ batched replay reproduces replays made one episode at a time.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
@@ -147,69 +152,48 @@ class StructuralCausalModel:
         self.n_features = 0
         self.n_actions = 0
         self.outcome = None
-        self.corr_threshold = DEFAULT_CORR_THRESHOLD
         self.static_features = []
-        self.parents = {}
-        self.equations = {}
+        self.dynamic_features = []
+        # reads[j]: the agents whose previous action a{j} reads
+        self.reads = []
 
     # -- graph -------------------------------------------------------------
 
     def inter_agent_edges(self):
         """Retained (source agent, target agent) influence pairs."""
-        out = []
-        for j in range(self.n_agents):
-            for name in self.parents.get(f"a{j}", []):
-                if name.startswith("prev_a"):
-                    out.append((int(name[len("prev_a"):]), j))
-        return sorted(out)
+        return sorted((i, j) for j, reads in enumerate(self.reads) for i in reads)
 
-    def _build_parents(self, retained):
-        s_nodes = [f"s{f}" for f in range(self.n_features)]
-        a_nodes = [f"a{i}" for i in range(self.n_agents)]
-        ns_nodes = [f"ns{f}" for f in range(self.n_features)]
-        parents = {}
-        for j in range(self.n_agents):
-            parents[f"a{j}"] = s_nodes + [f"prev_a{i}" for i in retained[j]]
-        for f in range(self.n_features):
-            if f not in self.static_features:
-                parents[f"ns{f}"] = s_nodes + a_nodes
-        parents["r"] = a_nodes + ns_nodes
-        parents["done"] = a_nodes + ns_nodes
-        return parents
+    def _runs(self):
+        """Runs of consecutive agents with equal ``reads``, whose action
+        nodes share their inputs and one model."""
+        agents = range(self.n_agents)
+        return [list(run) for _, run in groupby(agents, self.reads.__getitem__)]
 
     # -- fitting -----------------------------------------------------------
 
     def screen(self, history, corr_threshold=DEFAULT_CORR_THRESHOLD):
         """Build the graph from a history without fitting any equation.
 
-        Pools the transition rows, marks the static state features, keeps
-        each ``prev_a{i} -> a{j}`` edge whose Pearson correlation reaches
-        ``corr_threshold`` in absolute value, and sets the parents of every
-        node. :meth:`inter_agent_edges` is usable afterwards; the model is
-        not fitted. Returns the pooled rows ``(S, PA, A, NS, R, D)``.
+        Pools the transition rows, splits the state features into static
+        and dynamic ones, and keeps each ``prev_a{i} -> a{j}`` edge whose
+        Pearson correlation reaches ``corr_threshold`` in absolute value.
+        :meth:`inter_agent_edges` is usable afterwards; the model is not
+        fitted. Returns the pooled rows ``(S, PA, A, NS, R, D)``.
         """
         rows = _assemble_rows(history)
         S, PA, A, NS = rows[:4]
         self.fitted = False
-        self.equations = {}
-        self.n_agents = history.n_agents
+        self.n_agents = n = history.n_agents
         self.n_features = S.shape[1]
         self.n_actions = int(A.max()) + 1
-        self.corr_threshold = float(corr_threshold)
-        self.static_features = [
-            f for f in range(self.n_features) if np.all(NS[:, f] == S[:, f])
-        ]
+        static = np.all(NS == S, axis=0)
+        self.static_features = np.flatnonzero(static).tolist()
+        self.dynamic_features = np.flatnonzero(~static).tolist()
 
-        retained = []
-        for j in range(self.n_agents):
-            keep = []
-            for i in range(self.n_agents):
-                if i == j:
-                    continue
-                if abs(_pearson(PA[:, i], A[:, j])) >= self.corr_threshold:
-                    keep.append(i)
-            retained.append(keep)
-        self.parents = self._build_parents(retained)
+        def kept(i, j):
+            return i != j and abs(_pearson(PA[:, i], A[:, j])) >= corr_threshold
+
+        self.reads = [[i for i in range(n) if kept(i, j)] for j in range(n)]
         return rows
 
     def fit(
@@ -230,11 +214,10 @@ class StructuralCausalModel:
         _check_model_name(model)
         if rng is None:
             rng = np.random.default_rng(0)
-        S, PA, A, NS, R, D = self.screen(history, corr_threshold)
+        rows = self.screen(history, corr_threshold)
         self.model_name = model
         self.outcome = outcome
-        blocks = {"s": S, "prev_a": PA, "a": A, "ns": NS}
-        n = S.shape[0]
+        n = rows[0].shape[0]
         if n < MIN_SAMPLES:
             raise MacieError(f"too few samples to fit the model: {n} < {MIN_SAMPLES}")
         # each action node fits one regression per action value
@@ -244,91 +227,39 @@ class StructuralCausalModel:
                 f"transitions; the model would fit {self.n_actions} regressions "
                 f"per agent"
             )
-        targets = self._targets(A, NS, R, D)
-        # consecutive nodes with one parent list share a design and one fit
-        runs = []
-        for node in targets:
-            if runs and self.parents[runs[-1][0]] == self.parents[node]:
-                runs[-1].append(node)
-            else:
-                runs.append([node])
-        for run in runs:
-            X = self._design(run[0], blocks)
-            self.equations.update(self._fit_run(run, X, targets, rng))
+        models = [_fit_targets(model, X, Y, rng) for _, X, Y in self._equations(*rows)]
+        runs = self._runs()
+        self._action_models = list(zip(runs, models))
+        self._next_state_model = models[len(runs)] if self.dynamic_features else None
+        self._reward_model = models[-1]
         self.fitted = True
         return self
 
-    def _targets(self, A, NS, R, D):
-        """Training target of each fitted node, in fitting order."""
-        targets = {f"a{j}": A[:, j].astype(np.float64) for j in range(self.n_agents)}
-        targets.update(
-            {
-                f"ns{f}": NS[:, f]
-                for f in range(self.n_features)
-                if f not in self.static_features
-            }
-        )
-        targets["r"] = R
-        targets["done"] = D
-        return targets
+    def _equations(self, S, PA, A, NS, R, D):
+        """The model's equations on the pooled rows, in fitting order, as
+        ``(nodes, X, Y)``: the nodes, their shared inputs ``X`` and their
+        targets ``Y[M, rows]``, the same number of target rows per node.
 
-    def _fit_run(self, nodes, X, targets, rng):
-        """Equations of ``nodes``, which share the input rows ``X``, fitted
-        as one model: an action node gets one score regression per action
-        value, any other node one regression.
-
-        Returns ``{node: (model, rows)}``, ``rows`` indexing the node's
-        targets in the model's output.
+        An action node's targets are one 0/1 score row per action value.
         """
-        Y, rows = [], {}
-        for node in nodes:
-            target = targets[node]
-            if node.startswith("a"):
-                rows[node] = slice(len(Y), len(Y) + self.n_actions)
-                Y += [(target == v).astype(np.float64) for v in range(self.n_actions)]
-            else:
-                rows[node] = len(Y)
-                Y.append(target)
-        model = _fit_targets(self.model_name, X, np.array(Y), rng)
-        return {node: (model, rows[node]) for node in nodes}
-
-    def _predict(self, nodes, blocks):
-        """Each of ``nodes``' predictions on the parent ``blocks``, one model
-        call per fitted run: an action node gives its argmax action (ties to
-        the lowest), any other node its regression."""
-        out = {}
-        for node in nodes:
-            if node in out:
-                continue
-            model = self.equations[node][0]
-            pred = model.predict(self._design(node, blocks))
-            for other, (fitted, rows) in self.equations.items():
-                if fitted is model:
-                    out[other] = _read(other, pred[rows])
-        return [out[node] for node in nodes]
-
-    def _design(self, node, blocks):
-        """Input rows of ``node``'s equation: one column per parent.
-
-        ``blocks`` maps a node prefix (``s``, ``prev_a``, ``a``, ``ns``) to
-        a ``[B, width]`` array whose column ``k`` holds node ``{prefix}{k}``.
-        Fitting, validation and prediction all build their inputs here.
-        """
-        feats = self.parents[node]
-        B = next(iter(blocks.values())).shape[0]
-        X = np.empty((B, len(feats)))
-        for k, name in enumerate(feats):
-            prefix = name.rstrip("0123456789")
-            X[:, k] = blocks[prefix][:, int(name[len(prefix):])]
-        return X
+        for run in self._runs():
+            X = _columns(S, PA[:, self.reads[run[0]]])
+            Y = [A[:, j] == v for j in run for v in range(self.n_actions)]
+            yield [f"a{j}" for j in run], X, np.array(Y, dtype=np.float64)
+        dynamic = self.dynamic_features
+        if dynamic:
+            Y = np.ascontiguousarray(NS[:, dynamic].T)
+            yield [f"ns{f}" for f in dynamic], _columns(S, A), Y
+        yield ["r", "done"], _columns(A, NS), np.array([R, D])
 
     # -- validation ----------------------------------------------------------
 
     def validate(self, history, outcome: OutcomeSpec, n_folds=3, rng=None):
         """Out-of-fold R-squared per fitted node, via k-fold refits.
 
-        Action nodes are scored on the predicted action index. A constant
-        target scores 1.0 when predicted exactly and 0.0 otherwise. No node
+        Each node is refitted alone, fold by fold, in fitting order. Action
+        nodes are scored on the predicted action index. A constant target
+        scores 1.0 when predicted exactly and 0.0 otherwise. No node
         depends on ``outcome``; it is taken as :meth:`fit` takes it.
         """
         if not self.fitted:
@@ -337,52 +268,63 @@ class StructuralCausalModel:
             raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
         if rng is None:
             rng = np.random.default_rng(0)
-        S, PA, A, NS, R, D = _assemble_rows(history)
-        n = S.shape[0]
+        rows = _assemble_rows(history)
+        n = rows[0].shape[0]
         if n < n_folds:
             raise MacieError(f"{n} transitions cannot fill {n_folds} folds")
-        blocks = {"s": S, "prev_a": PA, "a": A, "ns": NS}
+        if rows[2].max() >= self.n_actions:  # an action target is read off its scores
+            raise MacieError(f"the fitted model has no action {rows[2].max()}")
 
         folds = np.array_split(np.arange(n), n_folds)
         scores = {}
-        for node, target in self._targets(A, NS, R, D).items():
-            X = self._design(node, blocks)
-            pred = np.zeros(n)
-            for test_idx in folds:
-                train = np.ones(n, dtype=bool)
-                train[test_idx] = False
-                model, rows = self._fit_run(
-                    [node], X[train], {node: target[train]}, rng
-                )[node]
-                pred[test_idx] = _read(node, model.predict(X[test_idx])[rows])
-            scores[node] = _r_squared(target, pred)
+        for nodes, X, Y in self._equations(*rows):
+            width = len(Y) // len(nodes)
+            for k, node in enumerate(nodes):
+                Y_node = Y[k * width : (k + 1) * width]
+                pred = np.zeros(n)
+                for test_idx in folds:
+                    train = np.ones(n, dtype=bool)
+                    train[test_idx] = False
+                    model = _fit_targets(
+                        self.model_name, X[train], Y_node[:, train], rng
+                    )
+                    pred[test_idx] = _read(node, model.predict(X[test_idx]))
+                scores[node] = _r_squared(_read(node, Y_node), pred)
         return scores
 
     # -- prediction -----------------------------------------------------------
+
+    def _actions(self, S, PA):
+        """Every action node's prediction ``[B, n]`` in the states ``S[B, D]``
+        that follow the joint actions ``PA[B, n]``: the highest-scoring
+        action value, ties to the lowest."""
+        out = np.empty((len(S), self.n_agents), dtype=np.int64)
+        for run, model in self._action_models:
+            scores = model.predict(_columns(S, PA[:, self.reads[run[0]]]))
+            out[:, run] = scores.reshape(len(run), self.n_actions, -1).argmax(1).T
+        return out
 
     def predict_action(self, agent, S, PA):
         """Action of ``agent`` in each row of states ``S[B,D]`` that follow
         the joint actions ``PA[B,n]``; an int array ``[B]``."""
         self._require_fitted()
-        (a,) = self._predict([f"a{agent}"], {"s": S, "prev_a": PA})
-        return a.astype(np.int64)
+        return self._actions(S, PA)[:, agent]
 
     def predict_next_state(self, S, A):
         """Next states ``[B,D]`` from states ``S[B,D]`` and joint actions
         ``A[B,n]``; static features are copied through."""
         self._require_fitted()
         out = np.array(S, dtype=np.float64)
-        dynamic = [f for f in range(self.n_features) if f not in self.static_features]
-        pred = self._predict([f"ns{f}" for f in dynamic], {"s": S, "a": A})
-        for f, values in zip(dynamic, pred):
-            out[:, f] = values
+        if self.dynamic_features:
+            pred = self._next_state_model.predict(_columns(S, A))
+            out[:, self.dynamic_features] = pred.T
         return out
 
     def predict_reward(self, A, NS):
         """Team reward ``[B]`` of joint actions ``A[B,n]`` that lead to next
         states ``NS[B,D]``."""
         self._require_fitted()
-        return self._predict(["r"], {"a": A, "ns": NS})[0]
+        return self._reward_model.predict(_columns(A, NS))[0]
 
     def predict_outcome(self, team, length):
         """Outcome ``[B]`` of replayed episodes, under the fitted outcome,
@@ -400,9 +342,7 @@ class StructuralCausalModel:
         """Every action node's prediction ``[B, n]`` in the model states
         ``S[B, D + n]``: the state features, then the previous joint action."""
         D = self.n_features
-        nodes = [f"a{j}" for j in range(self.n_agents)]
-        acts = self._predict(nodes, {"s": S[:, :D], "prev_a": S[:, D:]})
-        return np.stack(acts, axis=1).astype(np.int64)
+        return self._actions(S[:, :D], S[:, D:])
 
     def transition(self, s, a, env_u):
         """Apply joint actions ``a[B, n]`` to the model states ``s[B, D + n]``
@@ -413,18 +353,24 @@ class StructuralCausalModel:
         """
         D = self.n_features
         NS = self.predict_next_state(s[:, :D], a)
-        team, done = self._predict(["r", "done"], {"a": a, "ns": NS})
-        done = done > 0.5
+        team, done = self._reward_model.predict(_columns(a, NS))
         s[:, :D] = NS
         s[:, D:] = a
-        return np.full((len(s), self.n_agents), np.nan), team, done
+        return np.full((len(s), self.n_agents), np.nan), team, done > 0.5
+
+
+def _columns(*blocks):
+    """Input rows that hold the blocks' columns side by side."""
+    return np.concatenate(blocks, axis=1, dtype=np.float64)
 
 
 def _read(node, out):
-    """A node's prediction from its rows of its model's output."""
+    """A node's values from its rows of a model's output (or of its
+    targets): an action node's highest-scoring action value, any other
+    node's one row."""
     if node.startswith("a"):
         return np.argmax(out, axis=0).astype(np.float64)
-    return out
+    return out[0]
 
 
 def _r_squared(target, pred):

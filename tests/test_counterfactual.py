@@ -5,12 +5,12 @@ import macie.counterfactual
 from macie.core import (
     OUTCOME_KINDS,
     ConfigError,
+    MacieError,
     OutcomeSpec,
     rewards_outcome,
     rewards_trace,
 )
 from macie.counterfactual import (
-    MODES,
     CounterfactualEngine,
     critical_timesteps,
     leave_one_out,
@@ -22,6 +22,7 @@ from macie.policies import (
     SkillPolicy,
     default_policies,
 )
+from macie.report import MODES
 from macie.rng import SeedTree
 from macie.scm import StructuralCausalModel
 
@@ -203,7 +204,7 @@ def test_intervention_batch_matches_single_episodes(env_name, mode):
         env = make_env(env_name)
         return CounterfactualEngine(
             SeedTree(4), OutcomeSpec(), env=env,
-            policies=default_policies(env.n_agents), mode=mode, scm=scm,
+            policies=default_policies(env.n_agents), scm=scm,
         )
 
     S = leave_one_out(make_env(env_name).n_agents, 1)
@@ -241,7 +242,7 @@ def test_replays_do_not_depend_on_the_batch_split(monkeypatch, env_name, mode):
         env = make_env(env_name)
         eng = CounterfactualEngine(
             SeedTree(6), OutcomeSpec(), env=env,
-            policies=default_policies(env.n_agents), mode=mode, scm=scm,
+            policies=default_policies(env.n_agents), scm=scm,
         )
         runs.append(eng.replay(range(E), counts, traced=loo))
     y, traces = runs[0]
@@ -301,10 +302,6 @@ def test_epsilon_scales_with_outcome():
 def test_constructor_validation():
     env = make_env("gridworld")
     pols = default_policies(2)
-    with pytest.raises(ConfigError, match="unknown mode"):
-        CounterfactualEngine(
-            SeedTree(0), OutcomeSpec(), env=env, policies=pols, mode="dreams"
-        )
     with pytest.raises(ConfigError, match="environment or an ingested"):
         CounterfactualEngine(SeedTree(0), OutcomeSpec())
     with pytest.raises(ConfigError, match="needs policies"):
@@ -347,8 +344,9 @@ def test_ingested_history_needs_scm_mode():
         "toy", ["a", "b", "c"], np.zeros((1, T + 1, 3)),
         np.zeros((1, T, n), dtype=np.int64), np.ones((1, T)), np.ones((1, T, n)),
     )
-    with pytest.raises(ConfigError, match="env_resim"):
-        CounterfactualEngine(SeedTree(0), OutcomeSpec(), history=hist)
+    eng = CounterfactualEngine(SeedTree(0), OutcomeSpec(), history=hist)
+    with pytest.raises(MacieError, match="only through a fitted model"):
+        eng.intervene_and_rollout(0, 0, 1)
 
 
 def test_scm_rollout_on_ingested_history():
@@ -356,7 +354,7 @@ def test_scm_rollout_on_ingested_history():
     hist = sim.generate_history(10)
     scm = StructuralCausalModel().fit(hist, OutcomeSpec())
     eng = CounterfactualEngine(
-        SeedTree(9), OutcomeSpec(), history=hist, mode="scm_rollout", scm=scm
+        SeedTree(9), OutcomeSpec(), history=hist, scm=scm
     )
     assert eng.n_agents == 2
     assert eng.horizon == sim.env.horizon
@@ -380,7 +378,7 @@ def test_scm_rollout_is_deterministic():
     runs = []
     for _ in range(2):
         eng = CounterfactualEngine(
-            SeedTree(13), OutcomeSpec(), history=hist, mode="scm_rollout", scm=scm
+            SeedTree(13), OutcomeSpec(), history=hist, scm=scm
         )
         runs.append(eng.intervene_and_rollout(0, 1, n_samples=2))
     for x, y in zip(*runs):
@@ -393,7 +391,7 @@ def scm_engine(env_name, outcome=OutcomeSpec(), baseline=None, episodes=25):
     hist = make_engine(env_name=env_name).generate_history(episodes)
     scm = StructuralCausalModel().fit(hist, outcome)
     return CounterfactualEngine(
-        SeedTree(42), outcome, history=hist, mode="scm_rollout", scm=scm,
+        SeedTree(42), outcome, history=hist, scm=scm,
         baseline=baseline,
     )
 

@@ -25,3 +25,28 @@ def test_every_spanned_name_is_defined_on_its_owner(monkeypatch):
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_every_workload_config_validates(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import harness
+
+    from macie.report import RunConfig
+
+    for workload in harness.WORKLOADS.values():
+        for env in workload.envs:
+            RunConfig(env=env, seed=harness.DEFAULT_SEED, **workload.config).validate()
+
+
+def test_prepare_inputs_writes_the_ingested_log(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import harness
+
+    from macie.core import read_log
+
+    workload = harness.WORKLOADS["ingest_scm"]
+    path = harness.prepare_inputs(workload, harness.DEFAULT_SEED, str(tmp_path))
+    assert path.startswith(str(tmp_path))
+    history = read_log(path)
+    assert history.env_name == workload.envs[0]
+    assert len(history) == workload.log_episodes

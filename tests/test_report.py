@@ -13,13 +13,14 @@ import macie.counterfactual
 import macie.rng
 from macie.attribution import CoalitionValues, run_interventions, shapley_coalitions
 from macie.core import ConfigError, MacieError, read_log, write_log
-from macie.counterfactual import MODES, leave_one_out
+from macie.counterfactual import leave_one_out
 from macie.envs import list_envs
 from macie.explain import VERBOSITY_LEVELS, build_explanation
 from macie.report import (
     DEFAULT_EPISODES,
     KNOWN_REPORT_KEYS,
     METHODS,
+    MODES,
     REPORT_FORMAT,
     REPORT_VERSION,
     RunConfig,
@@ -69,6 +70,8 @@ def test_config_validation_messages():
         (dict(episodes=0), "episodes must be >= 2"),
         (dict(episodes=1), "episodes must be >= 2"),
         (dict(ii_bins=0), "ii_bins must be >= 1"),
+        (dict(ii_bins=2**53 + 1), "ii_bins must be <= 2\\*\\*53"),
+        (dict(ii_bins=2**63), "ii_bins must be <= 2\\*\\*53"),
         (dict(k=None), "k must be an integer, got None"),
         (dict(seed=None), "seed must be an integer, got None"),
         (dict(alphas={0: 1.5}), "must be in \\[0, 1\\]"),
@@ -493,8 +496,8 @@ def test_one_row_set_equals_separate_replays(monkeypatch):
         def engine():
             return macie.CounterfactualEngine(
                 macie.SeedTree(3), macie.OutcomeSpec(), env=env,
-                policies=macie.default_policies(env.n_agents), mode=mode,
-                scm=scm,
+                policies=macie.default_policies(env.n_agents),
+                scm=scm if mode == "scm_rollout" else None,
             )
 
         values = CoalitionValues(engine(), E)

@@ -65,9 +65,20 @@ def test_stream_key_validation():
         t.stream("act", -1)
 
 
-@pytest.mark.parametrize(
-    "seed", [0, 1, 42, 2**32 + 5, 2**64 - 1, -1, 99999999999999999999999]
-)
+@pytest.mark.parametrize("seed", [-1, 2**64, 99999999999999999999999])
+def test_seed_tree_refuses_seeds_outside_64_bits(seed):
+    # streams key on the seed's 64 bits, so a wider seed would alias one
+    with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+        SeedTree(seed)
+
+
+@pytest.mark.parametrize("seed", [1.0, True, "7", None])
+def test_seed_tree_refuses_non_integer_seeds(seed):
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        SeedTree(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 + 5, 2**64 - 1])
 def test_uniform_streams_match_derive_stream_bit_for_bit(seed):
     t = SeedTree(seed)
     rng = np.random.default_rng(seed % 1000)

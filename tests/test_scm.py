@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import macie.scm
 from macie import (
     CounterfactualEngine,
     ConfigError,
@@ -73,31 +74,34 @@ def test_goal_coordinates_become_static_features():
     hist = gridworld_history()
     scm = StructuralCausalModel().fit(hist, OutcomeSpec())
     assert scm.static_features == [4, 5, 6, 7]
-    for f in (4, 5, 6, 7):
-        assert f"ns{f}" not in scm.equations
-        assert f"ns{f}" not in scm.parents
-    state = hist.states[0, 0]
-    nxt = scm.predict_next_state(state[None], np.array([[4, 4]]))[0]
-    assert np.array_equal(nxt[4:8], state[4:8])
+    # only the dynamic features get a next-state regression
+    assert scm.dynamic_features == [0, 1, 2, 3, 8, 9]
+    scores = scm.validate(hist, OutcomeSpec())
+    assert [k for k in scores if k.startswith("ns")] == [
+        "ns0", "ns1", "ns2", "ns3", "ns8", "ns9"
+    ]
+    # and the static ones are copied through
+    S = hist.states[:, 0]
+    A = np.tile([[4, 4]], (len(S), 1))
+    nxt = scm.predict_next_state(S, A)
+    assert np.array_equal(nxt[:, 4:8], S[:, 4:8])
 
 
-def test_node_set_and_acyclic_parent_structure():
-    hist = gridworld_history()
-    scm = StructuralCausalModel().fit(hist, OutcomeSpec())
-    assert "a0" in scm.parents and "ns0" in scm.parents and "done" in scm.parents
-    # parents only ever point backwards: s/prev_a feed a, s/a feed ns,
-    # a/ns feed r and done; that ordering admits no cycle
-    def rank(name):
-        if name in ("r", "done"):
-            return 3
-        if name.startswith(("ns", "prev_a")):
-            return 2 if name.startswith("ns") else 0
-        if name.startswith("s"):
-            return 0
-        return 1
-    for node, parents in scm.parents.items():
-        for p in parents:
-            assert rank(p) < rank(node), (p, node)
+def fitted_action_models(monkeypatch, hist):
+    """The action regressions of each model a linear fit of ``hist`` makes,
+    in fitting order."""
+    fits = []
+    fit_targets = macie.scm._fit_targets
+
+    def recording(name, X, Y, rng):
+        fits.append(len(Y))
+        return fit_targets(name, X, Y, rng)
+
+    monkeypatch.setattr(macie.scm, "_fit_targets", recording)
+    scm = StructuralCausalModel().fit(hist, OutcomeSpec(), model="linear")
+    # the next-state features, then r with done
+    assert fits[-2:] == [3, 2]
+    return scm, fits[:-2]
 
 
 def test_predicted_actions_stay_in_range():
@@ -166,25 +170,33 @@ def test_validate_requires_a_fit_and_enough_folds():
     fitted = StructuralCausalModel().fit(gridworld_history(), OutcomeSpec())
     with pytest.raises(ConfigError):
         fitted.validate(gridworld_history(), OutcomeSpec(), n_folds=1)
+    # an action the fitted model has no score row for
+    wide = gridworld_history()
+    wide.actions[0, 1, 0] = fitted.n_actions
+    with pytest.raises(MacieError, match="the fitted model has no action 5"):
+        fitted.validate(wide, OutcomeSpec())
 
 
-def test_copy_policy_keeps_the_inter_agent_edge():
+def test_copy_policy_keeps_the_inter_agent_edge(monkeypatch):
     def act(rng, prev, t):
         a0 = rng.integers(0, 5)
         return np.array([a0, prev[0]], dtype=np.int64)
 
-    hist = synthetic_history(30, 10, act)
-    scm = StructuralCausalModel().fit(hist, OutcomeSpec(), model="linear")
-    assert (0, 1) in scm.inter_agent_edges()
+    scm, fits = fitted_action_models(monkeypatch, synthetic_history(30, 10, act))
+    assert scm.inter_agent_edges() == [(0, 1)]
+    # agent 1 also reads agent 0's previous action, so the two agents' action
+    # nodes have different inputs and a model each
+    assert fits == [scm.n_actions, scm.n_actions]
 
 
-def test_independent_actions_prune_all_edges():
+def test_independent_actions_prune_all_edges(monkeypatch):
     def act(rng, prev, t):
         return rng.integers(0, 5, 2)
 
-    hist = synthetic_history(30, 10, act)
-    scm = StructuralCausalModel().fit(hist, OutcomeSpec(), model="linear")
+    scm, fits = fitted_action_models(monkeypatch, synthetic_history(30, 10, act))
     assert scm.inter_agent_edges() == []
+    # both agents read only the state: one model, a score row per action each
+    assert fits == [2 * scm.n_actions]
 
 
 @pytest.mark.parametrize("model", ["constant_mean", "linear", "tree_ensemble"])
